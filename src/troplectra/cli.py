@@ -47,16 +47,13 @@ from .polynomial import (
 )
 from .semiring import ParseError, TropError, format_scalar
 from .spectral import (
-    classify_eigenvector,
+    _resolve_signs,
     classify_pd,
     charpoly,
-    eigvec_adjugate,
-    eigvec_construct,
-    eigvec_kleene,
+    eigvec_info,
     NotSimple,
     smax_eigenvalues,
     spectral_report,
-    uniqueness_and_strength,
 )
 from .valuation import (
     MonomialMatrix,
@@ -179,26 +176,21 @@ def _cmd_eig(args) -> int:
 def _cmd_eigvec(args) -> int:
     a = parse_matrix(_read(args.file))
     k = args.k
-    gammas = smax_eigenvalues(a).expand()
-    vec = eigvec_adjugate(a, k)
-    gamma = gammas[k - 1]
-    cls = classify_eigenvector(a, gamma, vec)
-    meta = uniqueness_and_strength(a, k)
-    try:
-        kle = eigvec_kleene(a, k)
-    except NotSimple:
-        kle = None
-    built = eigvec_construct(a, k) if args.construct else None
+    smax_eigenvalues(a)  # the NotTPD message and the balance-root check
+    info = eigvec_info(a, k)
+    if not info.simple:
+        raise NotSimple(f"eigenvalue {k} is not simple")
+    built = _resolve_signs(a, info.gamma, info.adjugate) if args.construct else None
     if args.format == "json":
         return _json(
             {
                 "k": k,
-                "gamma": format_scalar(gamma),
-                "adjugate": [format_scalar(x) for x in vec],
-                "kleene": None if kle is None else [format_scalar(x) for x in kle],
-                "class": cls.value,
-                "unique": meta["unique_up_to_scalar"],
-                "strong_exists": meta["strong_exists"],
+                "gamma": format_scalar(info.gamma),
+                "adjugate": [format_scalar(x) for x in info.adjugate],
+                "kleene": [format_scalar(x) for x in info.kleene],
+                "class": info.classification.value,
+                "unique": info.unique,
+                "strong_exists": info.strong_exists,
                 "construct": None
                 if built is None
                 else [format_scalar(x) for x in built],
@@ -210,15 +202,12 @@ def _cmd_eigvec(args) -> int:
     else:
         show = format_vector
     lines = [
-        f"gamma {format_scalar(gamma)}",
-        f"adjugate {show(vec)}",
-    ]
-    if kle is not None:
-        lines.append(f"kleene {show(kle)}")
-    lines += [
-        f"class {cls.value}",
-        f"unique {str(meta['unique_up_to_scalar']).lower()}",
-        f"strong_exists {meta['strong_exists']}",
+        f"gamma {format_scalar(info.gamma)}",
+        f"adjugate {show(info.adjugate)}",
+        f"kleene {show(info.kleene)}",
+        f"class {info.classification.value}",
+        f"unique {str(info.unique).lower()}",
+        f"strong_exists {info.strong_exists}",
     ]
     if built is not None:
         lines.append(f"construct {show(built)}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm
 from itertools import combinations, product
 
 from .semiring import (
@@ -442,12 +443,47 @@ def _assignment_table(mag: list[list[Mag | None]]) -> dict:
     return table
 
 
-def permanent(a) -> TScalar:
-    """Max-plus permanent: the optimal assignment weight."""
-    n = a._require_square()
+def _scaled_mags(a) -> tuple[list[list[Mag | None]], int]:
+    """Magnitudes as Python ints over their common denominator ``den``.
+
+    Exact entries are multiplied by the lcm of their denominators, so the
+    kernels add and compare ints instead of Fractions; ``_unscale`` divides
+    back exactly.  If any entry is a float nothing is scaled (``den`` is 1)
+    and comparisons keep the float tolerance of ``_mag_cmp``.
+    """
     mag = _raw_mags(a)
+    den = 1
+    for r in mag:
+        for e in r:
+            if isinstance(e, float):
+                return mag, 1
+            if isinstance(e, Fraction):
+                den = lcm(den, e.denominator)
+    if den == 1:
+        return mag, 1
+    return [
+        [None if e is None else e.numerator * (den // e.denominator) for e in r]
+        for r in mag
+    ], den
+
+
+def _unscale(x: Mag | None, den: int) -> Mag | None:
+    if x is None or den == 1:
+        return x
+    return Fraction(x, den)
+
+
+def permanent(a) -> TScalar:
+    """Max-plus permanent: the optimal assignment weight.
+
+    Exact magnitudes are scaled to ints by their common denominator for
+    the assignment table and divided back exactly; float magnitudes are
+    used unscaled.
+    """
+    n = a._require_square()
+    mag, den = _scaled_mags(a)
     table = _assignment_table(mag)
-    return TScalar(table[(0, (1 << n) - 1)])
+    return TScalar(_unscale(table[(0, (1 << n) - 1)], den))
 
 
 def determinant(a: SMatrix, *, size_limit: int | None = None) -> SScalar:
@@ -455,12 +491,15 @@ def determinant(a: SMatrix, *, size_limit: int | None = None) -> SScalar:
 
     Terms are explored in decreasing order of an assignment upper bound,
     so branches that cannot reach the current leading magnitude are cut.
+    Exact magnitudes are scaled to ints by their common denominator for
+    the search and divided back exactly; float magnitudes are used
+    unscaled, compared with the float tolerance.
     """
     n = a._require_square()
     limit = _det_size_limit(size_limit)
     if n > limit:
         raise SizeLimitExceeded(f"determinant of size {n} exceeds the cap {limit}")
-    mag = _raw_mags(a)
+    mag, den = _scaled_mags(a)
     sgn = [[e.sign for e in r] for r in a._rows]
     table = _assignment_table(mag)
     full = (1 << n) - 1
@@ -524,9 +563,10 @@ def determinant(a: SMatrix, *, size_limit: int | None = None) -> SScalar:
     walk(0, full, 0, 0, False)
     if acc[0] is None:
         return SScalar.zero()
+    top = _unscale(acc[0], den)
     if acc[2]:
-        return SScalar.bal(acc[0])
-    return SScalar.pos(acc[0]) if acc[1] > 0 else SScalar.neg(acc[0])
+        return SScalar.bal(top)
+    return SScalar.pos(top) if acc[1] > 0 else SScalar.neg(top)
 
 
 def _submatrix(a: SMatrix, keep_rows, keep_cols) -> SMatrix:

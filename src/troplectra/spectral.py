@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .matrix import (
+    SearchExhausted,
     ShapeMismatch,
     SizeLimitExceeded,
     SMatrix,
@@ -73,6 +74,7 @@ __all__ = [
     "uniqueness_and_strength",
     "genericity_check",
     "EigvecInfo",
+    "eigvec_info",
     "SpectralReport",
     "spectral_report",
 ]
@@ -306,6 +308,22 @@ def _check_tpd(a: SMatrix) -> int:
     return a.rows
 
 
+def _tpd_diag(a: SMatrix, k: int) -> list[tuple[SScalar, int]]:
+    """Sorted diagonal of a positive definite matrix with k in range."""
+    n = _check_tpd(a)
+    if not 1 <= k <= n:
+        raise ShapeMismatch(f"eigenvalue index {k} out of range 1..{n}")
+    return _sorted_diag(a)
+
+
+def _simple_diag(a: SMatrix, k: int) -> list[tuple[SScalar, int]]:
+    """As ``_tpd_diag``, and the k-th eigenvalue must be simple."""
+    diag = _tpd_diag(a, k)
+    if not _is_simple(diag, k):
+        raise NotSimple(f"eigenvalue {k} is not simple")
+    return diag
+
+
 def _gamma(diag, k: int) -> SScalar:
     return diag[k - 1][0]
 
@@ -339,30 +357,16 @@ def eigvec_adjugate(a: SMatrix, k: int, *, size_limit: int | None = None) -> tup
     column is well defined for repeated eigenvalues too, it is just no
     longer guaranteed to contain a signed pivot.
     """
-    n = _check_tpd(a)
-    if not 1 <= k <= n:
-        raise ShapeMismatch(f"eigenvalue index {k} out of range 1..{n}")
-    diag = _sorted_diag(a)
+    diag = _tpd_diag(a, k)
     g = _gamma(diag, k)
-    b = (g * SMatrix.identity(n)) + (-a)
-    pos = diag[k - 1][1]
-    return adjugate_column(b, pos, size_limit=size_limit)
+    b = (g * SMatrix.identity(a.rows)) + (-a)
+    return adjugate_column(b, diag[k - 1][1], size_limit=size_limit)
 
 
-def eigvec_kleene(a: SMatrix, k: int) -> tuple:
-    """Same eigenvector via a Kleene star of the rescaled matrix.
-
-    Needs the k-th eigenvalue simple.  The construction zeroes the
-    diagonal above k, rescales rows by the inverted diagonal of
-    (gamma I - D), stars the result, and scales one column back; the
-    outcome is asserted to agree with the adjugate route.
-    """
-    n = _check_tpd(a)
-    if not 1 <= k <= n:
-        raise ShapeMismatch(f"eigenvalue index {k} out of range 1..{n}")
-    diag = _sorted_diag(a)
-    if not _is_simple(diag, k):
-        raise NotSimple(f"eigenvalue {k} is not simple")
+def _kleene_vector(a: SMatrix, diag, k: int, adj: tuple) -> tuple:
+    """The star-route eigenvector, checked against the adjugate vector
+    ``adj`` of the same (a, k)."""
+    n = a.rows
     perm = [i for _, i in diag]
     asort = _permuted(a, perm)
     g = _gamma(diag, k)
@@ -388,9 +392,22 @@ def eigvec_kleene(a: SMatrix, k: int) -> tuple:
     for i, p in enumerate(perm):
         v[p] = v_sorted[i]
     v = tuple(v)
-    if v != eigvec_adjugate(a, k):
+    if v != adj:
         raise InternalMismatch("star and adjugate eigenvector routes disagree")
     return v
+
+
+def eigvec_kleene(a: SMatrix, k: int) -> tuple:
+    """Same eigenvector via a Kleene star of the rescaled matrix.
+
+    Needs the k-th eigenvalue simple.  The construction zeroes the
+    diagonal above k, rescales rows by the inverted diagonal of
+    (gamma I - D), stars the result, and scales one column back.  The
+    outcome is compared with the adjugate column ``eigvec_adjugate(a, k)``
+    and InternalMismatch is raised if they differ.
+    """
+    diag = _simple_diag(a, k)
+    return _kleene_vector(a, diag, k, eigvec_adjugate(a, k))
 
 
 def classify_eigenvector(a: SMatrix, gamma: SScalar, v) -> VectorClass:
@@ -412,21 +429,9 @@ def classify_eigenvector(a: SMatrix, gamma: SScalar, v) -> VectorClass:
     return VectorClass.WEAK
 
 
-def eigvec_construct(a: SMatrix, k: int) -> tuple:
-    """Resolve the balanced coordinates of the adjugate eigenvector into
-    signs so the result is an actual (possibly strong) eigenvector.
-
-    Signs are tried coordinate by coordinate in index order, positive
-    first; existence is guaranteed for a simple eigenvalue.
-    """
-    from itertools import product
-
-    n = _check_tpd(a)
-    diag = _sorted_diag(a)
-    if not _is_simple(diag, k):
-        raise NotSimple(f"eigenvalue {k} is not simple")
-    g = _gamma(diag, k)
-    v = eigvec_adjugate(a, k)
+def _resolve_signs(a: SMatrix, gamma: SScalar, v) -> tuple:
+    """Sign resolution of the balanced coordinates of the adjugate vector
+    ``v`` for the eigenvalue ``gamma``; see ``eigvec_construct``."""
     bal_idx = [i for i, e in enumerate(v) if e.is_bal]
     if not bal_idx:
         return v
@@ -435,11 +440,35 @@ def eigvec_construct(a: SMatrix, k: int) -> tuple:
         for i, s in zip(bal_idx, signs):
             w[i] = SScalar.pos(v[i].mag) if s > 0 else SScalar.neg(v[i].mag)
         w = tuple(w)
-        if classify_eigenvector(a, g, w) in (VectorClass.EIGEN, VectorClass.STRONG):
+        if classify_eigenvector(a, gamma, w) in (VectorClass.EIGEN, VectorClass.STRONG):
             return w
-    from .matrix import SearchExhausted
-
     raise SearchExhausted("no sign resolution produced an eigenvector")
+
+
+def eigvec_construct(a: SMatrix, k: int) -> tuple:
+    """Resolve the balanced coordinates of the adjugate eigenvector into
+    signs so the result is an actual (possibly strong) eigenvector.
+
+    Signs are tried coordinate by coordinate in index order, positive
+    first; existence is guaranteed for a simple eigenvalue.
+    """
+    diag = _simple_diag(a, k)
+    return _resolve_signs(a, _gamma(diag, k), eigvec_adjugate(a, k))
+
+
+def _uniqueness_and_strength(a: SMatrix, k: int, v) -> tuple[bool, str]:
+    """Uniqueness and strong-existence verdicts from the adjugate vector
+    ``v`` of a simple k-th eigenvalue; see ``uniqueness_and_strength``."""
+    fully_signed = all(e.is_signed for e in v)
+    if not fully_signed:
+        strong = "no"
+    elif k >= 2 and is_irreducible(a):
+        strong = "no"
+    elif k == 1:
+        strong = "yes"
+    else:
+        strong = "unknown"
+    return fully_signed, strong
 
 
 def uniqueness_and_strength(a: SMatrix, k: int) -> dict:
@@ -451,21 +480,9 @@ def uniqueness_and_strength(a: SMatrix, k: int) -> dict:
     irreducibility (for k at least 2), positively by the leading
     eigenvalue with a signed vector; anything else stays unknown.
     """
-    n = _check_tpd(a)
-    diag = _sorted_diag(a)
-    if not _is_simple(diag, k):
-        raise NotSimple(f"eigenvalue {k} is not simple")
-    v = eigvec_adjugate(a, k)
-    fully_signed = all(e.is_signed for e in v)
-    if not fully_signed:
-        strong = "no"
-    elif k >= 2 and is_irreducible(a):
-        strong = "no"
-    elif k == 1:
-        strong = "yes"
-    else:
-        strong = "unknown"
-    return {"unique_up_to_scalar": fully_signed, "strong_exists": strong}
+    _simple_diag(a, k)
+    unique, strong = _uniqueness_and_strength(a, k, eigvec_adjugate(a, k))
+    return {"unique_up_to_scalar": unique, "strong_exists": strong}
 
 
 def genericity_check(a: SMatrix) -> bool:
@@ -496,6 +513,22 @@ class EigvecInfo:
     classification: VectorClass
     unique: bool
     strong_exists: str
+
+
+def eigvec_info(a: SMatrix, k: int) -> EigvecInfo:
+    """The report entry for index k, from one adjugate column: that
+    column, its classification and, for a simple eigenvalue, the star
+    vector (compared with the column; InternalMismatch if they differ)
+    and the uniqueness and strength verdicts."""
+    diag = _tpd_diag(a, k)
+    g = _gamma(diag, k)
+    v = eigvec_adjugate(a, k)
+    cls = classify_eigenvector(a, g, v)
+    if not _is_simple(diag, k):
+        return EigvecInfo(k, g, False, v, None, cls, False, "unknown")
+    vk = _kleene_vector(a, diag, k, v)
+    unique, strong = _uniqueness_and_strength(a, k, v)
+    return EigvecInfo(k, g, True, v, vk, cls, unique, strong)
 
 
 @dataclass
@@ -531,27 +564,16 @@ class SpectralReport:
 
 def spectral_report(a: SMatrix) -> SpectralReport:
     """Eigenvalues plus both eigenvector routes and their classification
-    for every index."""
+    for every index.
+
+    Each adjugate column is computed once.  For a simple eigenvalue the
+    star-route vector is compared with that column, and a difference
+    raises InternalMismatch.
+    """
     n = _check_tpd(a)
     values = smax_eigenvalues(a)
     diag = _sorted_diag(a)
-    infos = []
-    for k in range(1, n + 1):
-        g = _gamma(diag, k)
-        simple = _is_simple(diag, k)
-        v = eigvec_adjugate(a, k)
-        cls = classify_eigenvector(a, g, v)
-        if simple:
-            vk = eigvec_kleene(a, k)
-            meta = uniqueness_and_strength(a, k)
-            infos.append(
-                EigvecInfo(
-                    k, g, True, v, vk, cls,
-                    meta["unique_up_to_scalar"], meta["strong_exists"],
-                )
-            )
-        else:
-            infos.append(EigvecInfo(k, g, False, v, None, cls, False, "unknown"))
+    infos = [eigvec_info(a, k) for k in range(1, n + 1)]
     mags = [d.mag for d, _ in diag]
     generic = len(set(mags)) == n and all(
         all(e.is_pos or e.is_neg for e in info.adjugate) for info in infos

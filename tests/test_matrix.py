@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 from conftest import small_mags, sscalars
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from troplectra.matrix import (
@@ -234,16 +234,63 @@ def test_matrix_distributivity(ab):
 
 # --- permanent and determinant -----------------------------------------------
 
+# Extra oracle inputs for the kernels' two lanes: float magnitudes (alone or
+# mixed with Fractions) are searched unscaled under the float tolerance;
+# exact magnitudes are scaled by the lcm of their denominators, here 105.
+F = Fraction
+FLOAT_TIE = SMatrix([[P(0.1), P(0.3)], [P(0.0), P(0.2)]])
+FLOAT_3 = SMatrix(
+    [[P(1.5), N(0.25), P(2.0)], [B(0.75), P(1.0), Z], [N(0.5), P(1.25), P(0.125)]]
+)
+MIXED_FLOAT_FRACTION = SMatrix(
+    [
+        [P(F(1, 3)), N(0.5), P(2)],
+        [P(F(5, 4)), P(1.0), N(F(2, 3))],
+        [Z, B(0.25), P(F(-1, 2))],
+    ]
+)
+DENOM_105 = SMatrix(
+    [
+        [P(F(1, 3)), N(F(2, 5)), P(F(1, 7))],
+        [P(F(3, 5)), P(F(1, 7)), N(F(2, 3))],
+        [N(F(4, 7)), P(F(1, 3)), P(F(1, 5))],
+    ]
+)
+DENOM_105_TIE = SMatrix([[P(F(1, 3)), P(F(1, 5))], [P(F(1, 7)), P(F(1, 105))]])
+KERNEL_EXAMPLES = (FLOAT_TIE, FLOAT_3, MIXED_FLOAT_FRACTION, DENOM_105, DENOM_105_TIE)
+
+
+def with_kernel_examples(test):
+    for a in KERNEL_EXAMPLES:
+        test = example(a)(test)
+    return test
+
 
 @given(smatrices())
+@with_kernel_examples
 def test_permanent_matches_oracle(a):
     assert permanent(a) == brute_permanent(a)
     assert permanent(a.modulus()) == brute_permanent(a)
 
 
 @given(smatrices())
+@with_kernel_examples
 def test_determinant_matches_oracle(a):
     assert determinant(a) == brute_determinant(a)
+
+
+def test_kernel_magnitude_types():
+    # exact in, exact out: whole results collapse to int, others stay Fractions
+    d = determinant(DENOM_105)
+    assert d == N(F(172, 105)) and type(d.mag) is Fraction
+    d = determinant(DENOM_105_TIE)
+    assert d == B(F(12, 35)) and type(d.mag) is Fraction
+    assert type(determinant(S([[F(1, 2), 1], [1, F(3, 2)]])).mag) is int
+    assert permanent(DENOM_105.modulus()) == TScalar(F(172, 105))
+    assert type(permanent(DENOM_105).value) is Fraction
+    # any float magnitude keeps the result in floats
+    assert type(determinant(MIXED_FLOAT_FRACTION).mag) is float
+    assert determinant(FLOAT_TIE) == B(0.3)
 
 
 @settings(max_examples=25)

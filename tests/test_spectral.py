@@ -3,6 +3,7 @@ and eigenvectors of tropically positive definite matrices."""
 
 import json
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +18,8 @@ from troplectra.matrix import (
     scale_vec,
     trace_k,
 )
+from troplectra import spectral
+from troplectra.cli import main
 from troplectra.polynomial import NotSigned, SPoly, TPoly, pretty_poly
 from troplectra.semiring import SScalar, TScalar, s_mul, s_neg
 from troplectra.spectral import (
@@ -31,6 +34,7 @@ from troplectra.spectral import (
     classify_pd,
     eigvec_adjugate,
     eigvec_construct,
+    eigvec_info,
     eigvec_kleene,
     genericity_check,
     is_tpd,
@@ -642,3 +646,102 @@ def test_spectral_report_structure(a):
             classify_eigenvector(a, info.gamma, info.adjugate)
             is info.classification
         )
+
+
+# --- one adjugate column per eigenvector -----------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+# Distinct diagonal 10 > 8 > 6 > 4 > 2, off-diagonal magnitudes one below
+# the mean of their diagonal neighbours, signs alternating.
+DISTINCT5 = SMatrix(
+    [
+        [
+            P(d) if i == j else (P if (i + j) % 2 else N)((d + e) // 2 - 1)
+            for j, e in enumerate((10, 8, 6, 4, 2))
+        ]
+        for i, d in enumerate((10, 8, 6, 4, 2))
+    ]
+)
+
+
+@pytest.fixture
+def adjugate_calls(monkeypatch):
+    """Count the adjugate columns the spectral layer computes."""
+    calls = []
+    original = spectral.adjugate_column
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "adjugate_column", counting)
+    return calls
+
+
+def test_spectral_report_one_adjugate_column_per_index(adjugate_calls):
+    assert classify_pd(DISTINCT5).verdict is PDVerdict.TPD
+    rep = spectral_report(DISTINCT5)
+    assert len(adjugate_calls) == 5
+    assert all(info.simple for info in rep.vectors)
+    assert all(info.kleene == info.adjugate for info in rep.vectors)
+
+
+def test_cli_eigvec_construct_one_adjugate_column(adjugate_calls, capsys):
+    code = main(["eigvec", str(DATA / "pd3_balcoord.mat"), "-k", "1", "--construct"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("construct p6 n5 p3\n")
+    assert len(adjugate_calls) == 1
+
+
+def test_cli_eigvec_not_simple_at_most_one_adjugate_column(
+    adjugate_calls, capsys, tmp_path
+):
+    path = tmp_path / "repeated.mat"
+    path.write_text("3 3\np4 z z\nz p4 z\nz z p2\n")
+    code = main(["eigvec", str(path), "-k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "NotSimple: eigenvalue 1 is not simple\n"
+    assert len(adjugate_calls) <= 1
+
+
+@given(tpd_matrices(max_n=4))
+def test_eigvec_info_matches_public_routes(a):
+    for k in range(1, a.rows + 1):
+        info = eigvec_info(a, k)
+        assert info.adjugate == eigvec_adjugate(a, k)
+        if info.simple:
+            assert info.kleene == eigvec_kleene(a, k)
+            meta = uniqueness_and_strength(a, k)
+            assert info.unique == meta["unique_up_to_scalar"]
+            assert info.strong_exists == meta["strong_exists"]
+
+
+def test_eigvec_index_checked_before_simplicity():
+    for fn in (eigvec_info, eigvec_kleene, eigvec_construct, uniqueness_and_strength):
+        for k in (0, 4):
+            with pytest.raises(ShapeMismatch):
+                fn(MIXED, k)
+
+
+@pytest.fixture
+def perturbed_star(monkeypatch):
+    """Make the star route return a wrong star, one unit too heavy."""
+    original = spectral.kleene_star
+    monkeypatch.setattr(spectral, "kleene_star", lambda m: P(1) * original(m))
+
+
+def test_star_cross_check_still_runs(perturbed_star, capsys):
+    with pytest.raises(InternalMismatch):
+        eigvec_kleene(MIXED, 1)
+    with pytest.raises(InternalMismatch):
+        spectral_report(MIXED)
+    with pytest.raises(InternalMismatch):
+        eigvec_info(MIXED, 1)
+    code = main(["eigvec", str(DATA / "pd3_mixed.mat"), "-k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("InternalMismatch: ")
