@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import lcm
 from itertools import combinations, product
+from math import lcm
 
 from .semiring import (
     Mag,
@@ -459,8 +459,6 @@ def _scaled_mags(a) -> tuple[list[list[Mag | None]], int]:
                 return mag, 1
             if isinstance(e, Fraction):
                 den = lcm(den, e.denominator)
-    if den == 1:
-        return mag, 1
     return [
         [None if e is None else e.numerator * (den // e.denominator) for e in r]
         for r in mag
