@@ -8,9 +8,9 @@ lab, the Gershgorin-style inclusion bound, and the random generators.
 Inputs are text files: signed matrices and polynomials use the library's
 token formats, monomial families use the ``n`` + sign/exponent grid, and
 real symmetric matrices use a ``rows cols`` header followed by float rows.
-Output goes to stdout as a plain table (default), CSV, or JSON via
-``--format``; pretty scalar output is pure ASCII unless ``--unicode`` is
-given.  Exit codes: 0 on success, 1 on domain errors (the error class name
+Output goes to stdout as a plain table (default), CSV (not for ``eigvec``
+or ``random``), or JSON via ``--format``; pretty scalar output is pure
+ASCII unless ``--unicode`` is given.  Exit codes: 0 on success, 1 on domain errors (the error class name
 is printed on stderr), 2 on parse or usage errors.
 """
 
@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,7 @@ from .valuation import (
     compare_eigenvalues,
     compare_eigenvectors,
     DEFAULT_BALANCE_SLACK,
+    DEFAULT_T_GRID,
     gershgorin_pd_bound,
     random_gram_pd,
     random_tpd,
@@ -69,7 +71,10 @@ __all__ = ["main"]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_real_matrix(text: str) -> np.ndarray:
@@ -97,56 +102,43 @@ def _parse_real_matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _format_real_matrix(arr: np.ndarray) -> str:
-    lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    for row in arr.tolist():
-        lines.append(" ".join(repr(x) for x in row))
-    return "\n".join(lines)
+def _rows(args, header, rows) -> str:
+    """A header line and one line per row, comma-separated under csv."""
+    sep = "," if args.format == "csv" else " "
+    return "\n".join(sep.join(str(x) for x in row) for row in [header, *rows])
 
 
-def _emit(text: str) -> int:
-    print(text)
-    return 0
+# --- subcommand handlers: each returns text, or a JSON-able object ------------
 
 
-def _json(obj) -> int:
-    return _emit(json.dumps(obj, indent=2))
-
-
-# --- subcommand handlers -------------------------------------------------------
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     cls = classify_pd(parse_matrix(_read(args.file)))
     witness = list(cls.witness) if cls.witness is not None else None
     if args.format == "json":
-        return _json({"verdict": cls.verdict.value, "witness": witness})
+        return {"verdict": cls.verdict.value, "witness": witness}
     if args.format == "csv":
-        w = f"{witness[0]},{witness[1]}" if witness else ","
-        return _emit(f"verdict,witness_i,witness_j\n{cls.verdict.value},{w}")
+        row = [cls.verdict.value, *(witness or ["", ""])]
+        return _rows(args, ["verdict", "witness_i", "witness_j"], [row])
     suffix = f" (witness {witness[0]},{witness[1]})" if witness else ""
-    return _emit(cls.verdict.value + suffix)
+    return cls.verdict.value + suffix
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args):
     p = charpoly(parse_matrix(_read(args.file)))
     if args.format == "json":
-        return _json(
-            {"coefficients": format_poly(p).split(), "pretty": pretty_poly(p)}
-        )
+        return {"coefficients": format_poly(p).split(), "pretty": pretty_poly(p)}
     if args.format == "csv":
-        rows = ["degree,coefficient"]
-        rows += [f"{k},{tok}" for k, tok in enumerate(format_poly(p).split())]
-        return _emit("\n".join(rows))
-    return _emit(pretty_poly(p, unicode=args.unicode))
+        coeffs = enumerate(format_poly(p).split())
+        return _rows(args, ["degree", "coefficient"], coeffs)
+    return pretty_poly(p, unicode=args.unicode)
 
 
-def _cmd_eig(args) -> int:
+def _cmd_eig(args):
     a = parse_matrix(_read(args.file))
     if args.report:
         rep = spectral_report(a)
         if args.format == "json":
-            return _json(rep.to_json_dict())
+            return rep.to_json_dict()
         lines = []
         for ev in rep.eigenvalues:
             lines.append(f"gamma {format_scalar(ev[0])} mult {ev[1]}")
@@ -161,19 +153,14 @@ def _cmd_eig(args) -> int:
             if info.kleene is not None:
                 lines.append(f"  kleene   {format_vector(info.kleene)}")
         lines.append(f"generic {str(rep.generic).lower()}")
-        return _emit("\n".join(lines))
-    roots = smax_eigenvalues(a)
+        return "\n".join(lines)
+    roots = [(format_scalar(r), m) for r, m in smax_eigenvalues(a)]
     if args.format == "json":
-        return _json(
-            [{"value": format_scalar(r), "mult": m} for r, m in roots]
-        )
-    rows = ["gamma,mult" if args.format == "csv" else "gamma mult"]
-    sep = "," if args.format == "csv" else " "
-    rows += [f"{format_scalar(r)}{sep}{m}" for r, m in roots]
-    return _emit("\n".join(rows))
+        return [{"value": r, "mult": m} for r, m in roots]
+    return _rows(args, ["gamma", "mult"], roots)
 
 
-def _cmd_eigvec(args) -> int:
+def _cmd_eigvec(args):
     a = parse_matrix(_read(args.file))
     k = args.k
     smax_eigenvalues(a)  # the NotTPD message and the balance-root check
@@ -181,244 +168,117 @@ def _cmd_eigvec(args) -> int:
     if not info.simple:
         raise NotSimple(f"eigenvalue {k} is not simple")
     built = _resolve_signs(a, info.gamma, info.adjugate) if args.construct else None
-    if args.format == "json":
-        return _json(
-            {
-                "k": k,
-                "gamma": format_scalar(info.gamma),
-                "adjugate": [format_scalar(x) for x in info.adjugate],
-                "kleene": [format_scalar(x) for x in info.kleene],
-                "class": info.classification.value,
-                "unique": info.unique,
-                "strong_exists": info.strong_exists,
-                "construct": None
-                if built is None
-                else [format_scalar(x) for x in built],
-            }
-        )
-    if args.unicode:
+    as_json = args.format == "json"
+    if as_json:
         def show(v):
-            return pretty_vector(v, unicode=True)
+            return [format_scalar(x) for x in v]
     else:
-        show = format_vector
-    lines = [
-        f"gamma {format_scalar(info.gamma)}",
-        f"adjugate {show(info.adjugate)}",
-        f"kleene {show(info.kleene)}",
-        f"class {info.classification.value}",
-        f"unique {str(info.unique).lower()}",
-        f"strong_exists {info.strong_exists}",
-    ]
-    if built is not None:
-        lines.append(f"construct {show(built)}")
-    return _emit("\n".join(lines))
+        show = partial(pretty_vector, unicode=True) if args.unicode else format_vector
+    fields = {
+        "gamma": format_scalar(info.gamma),
+        "adjugate": show(info.adjugate),
+        "kleene": show(info.kleene),
+        "class": info.classification.value,
+        "unique": info.unique if as_json else str(info.unique).lower(),
+        "strong_exists": info.strong_exists,
+        "construct": None if built is None else show(built),
+    }
+    if as_json:
+        return {"k": k, **fields}
+    return "\n".join(f"{key} {v}" for key, v in fields.items() if v is not None)
 
 
-def _cmd_star(args) -> int:
+def _cmd_star(args):
     star = kleene_star(parse_matrix(_read(args.file)))
     if args.format == "json":
-        return _json(matrix_to_json(star))
+        return matrix_to_json(star)
     if args.format == "csv":
-        return _emit(
-            "\n".join(
-                ",".join(format_scalar(x) for x in star.row(i))
-                for i in range(star.rows)
-            )
+        return "\n".join(
+            ",".join(format_scalar(x) for x in star.row(i)) for i in range(star.rows)
         )
     if args.unicode:
-        return _emit(pretty_matrix(star, unicode=True))
-    return _emit(format_matrix(star).rstrip("\n"))
+        return pretty_matrix(star, unicode=True)
+    return format_matrix(star).rstrip("\n")
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args):
     a = parse_matrix(_read(args.file))
-    d = determinant(a)
+    d = format_scalar(determinant(a))
     per = permanent(a.modulus())
     per_txt = "bot" if per.value is None else str(per.value)
     if args.format == "json":
-        return _json({"det": format_scalar(d), "permanent": per_txt})
+        return {"det": d, "permanent": per_txt}
     if args.format == "csv":
-        return _emit(f"det,permanent\n{format_scalar(d)},{per_txt}")
-    return _emit(f"det {format_scalar(d)}\npermanent {per_txt}")
+        return _rows(args, ["det", "permanent"], [[d, per_txt]])
+    return f"det {d}\npermanent {per_txt}"
 
 
-def _cmd_poly_roots(args) -> int:
+def _cmd_poly_roots(args):
     p = parse_poly(_read(args.file))
     found = []
     for cand in smax_root_candidates(p):
         kind = verify_smax_root(p, cand)
         if kind is not RootKind.NOT_ROOT:
-            found.append((cand, kind, multiplicity(p, cand)))
-    corners = tmax_roots(p.modulus())
+            found.append((format_scalar(cand), kind.value, multiplicity(p, cand)))
     if args.format == "json":
-        return _json(
-            {
-                "roots": [
-                    {"root": format_scalar(r), "kind": kind.value, "mult": m}
-                    for r, kind, m in found
-                ],
-                "modulus_roots": [
-                    {"root": str(r.value), "mult": m} for r, m in corners
-                ],
-            }
-        )
-    sep = "," if args.format == "csv" else " "
-    rows = ["root,kind,mult" if args.format == "csv" else "root kind mult"]
-    rows += [
-        f"{format_scalar(r)}{sep}{kind.value}{sep}{m}" for r, kind, m in found
-    ]
-    return _emit("\n".join(rows))
+        return {
+            "roots": [{"root": r, "kind": kind, "mult": m} for r, kind, m in found],
+            "modulus_roots": [
+                {"root": str(r.value), "mult": m} for r, m in tmax_roots(p.modulus())
+            ],
+        }
+    return _rows(args, ["root", "kind", "mult"], found)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     fam = MonomialMatrix.parse(_read(args.file))
     if args.vectors:
         rep = compare_eigenvectors(fam, args.t, slack=args.slack)
     else:
         rep = compare_eigenvalues(fam, args.t)
     if args.format == "json":
-        return _json(rep.to_json_dict())
+        return rep.to_json_dict()
     if args.format == "csv":
-        return _emit(rep.to_csv().rstrip("\n"))
-    return _emit(rep.pretty().rstrip("\n"))
+        return rep.to_csv().rstrip("\n")
+    return rep.pretty().rstrip("\n")
 
 
-def _cmd_gersh(args) -> int:
+def _cmd_gersh(args):
     gb = gershgorin_pd_bound(_parse_real_matrix(_read(args.file)))
     if args.format == "json":
-        return _json(
-            {
-                "gamma": None if math.isinf(gb.gamma) else gb.gamma,
-                "weak": gb.weak,
-                "contained": gb.contained,
-                "balls": [list(b) for b in gb.balls],
-                "eigenvalues": list(gb.eigenvalues),
-            }
-        )
+        return {
+            "gamma": None if math.isinf(gb.gamma) else gb.gamma,
+            "weak": gb.weak,
+            "contained": gb.contained,
+            "balls": [list(b) for b in gb.balls],
+            "eigenvalues": list(gb.eigenvalues),
+        }
+    balls = [(repr(c), repr(r)) for c, r in gb.balls]
     if args.format == "csv":
-        rows = ["center,radius"]
-        rows += [f"{c!r},{r!r}" for c, r in gb.balls]
-        return _emit("\n".join(rows))
+        return _rows(args, ["center", "radius"], balls)
     lines = [
         f"gamma {'inf' if math.isinf(gb.gamma) else repr(gb.gamma)}",
         f"weak {str(gb.weak).lower()}",
         f"contained {str(gb.contained).lower()}",
     ]
-    lines += [f"ball {c!r} {r!r}" for c, r in gb.balls]
-    return _emit("\n".join(lines))
+    return "\n".join(lines + [f"ball {c} {r}" for c, r in balls])
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args):
     if args.kind == "tpd":
         a = random_tpd(
             args.n, args.seed, exponent_range=(args.lo, args.hi), margin=args.margin
         )
         if args.format == "json":
-            return _json(matrix_to_json(a))
-        return _emit(format_matrix(a).rstrip("\n"))
+            return matrix_to_json(a)
+        return format_matrix(a).rstrip("\n")
     b = random_gram_pd(args.n, args.seed)
     if args.format == "json":
-        return _json({"rows": b.tolist()})
-    return _emit(_format_real_matrix(b))
+        return {"rows": b.tolist()}
+    return _rows(args, b.shape, [map(repr, row) for row in b.tolist()])
 
 
 # --- parser --------------------------------------------------------------------
-
-
-def _add_format(sub, csv: bool = True):
-    choices = ["table", "csv", "json"] if csv else ["table", "json"]
-    sub.add_argument(
-        "--format", choices=choices, default="table", help="output format"
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="troplectra",
-        description="Signed tropical matrices: spectra, stars, and validation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="classify a signed symmetric matrix")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial")
-    p.add_argument("file")
-    p.add_argument("--unicode", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_charpoly)
-
-    p = sub.add_parser("eig", help="eigenvalues of a definite matrix")
-    p.add_argument("file")
-    p.add_argument(
-        "--report", action="store_true", help="full spectral report with vectors"
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_eig)
-
-    p = sub.add_parser("eigvec", help="eigenvector candidate for one eigenvalue")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True, help="eigenvalue index, 1-based")
-    p.add_argument(
-        "--construct",
-        action="store_true",
-        help="also search for a signed resolution of balanced coordinates",
-    )
-    p.add_argument("--unicode", action="store_true")
-    _add_format(p, csv=False)
-    p.set_defaults(func=_cmd_eigvec)
-
-    p = sub.add_parser("star", help="Kleene star of a signed matrix")
-    p.add_argument("file")
-    p.add_argument("--unicode", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_star)
-
-    p = sub.add_parser("det", help="determinant and permanent of the modulus")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_det)
-
-    p = sub.add_parser("poly-roots", help="roots of a signed polynomial")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_poly_roots)
-
-    p = sub.add_parser(
-        "validate", help="compare tropical predictions with classical spectra"
-    )
-    p.add_argument("file", help="monomial family file")
-    p.add_argument(
-        "--t",
-        type=_t_list,
-        default=[10.0, 100.0],
-        help="comma-separated list of bases, e.g. 10,100",
-    )
-    p.add_argument(
-        "--vectors", action="store_true", help="compare eigenvectors, not just values"
-    )
-    p.add_argument("--slack", type=float, default=DEFAULT_BALANCE_SLACK)
-    _add_format(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("gersh", help="Gershgorin-style inclusion bound")
-    p.add_argument("file", help="real symmetric matrix file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_gersh)
-
-    p = sub.add_parser("random", help="emit a seeded random matrix")
-    p.add_argument("kind", choices=["tpd", "gram"])
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lo", type=int, default=0, help="low diagonal exponent (tpd)")
-    p.add_argument("--hi", type=int, default=5, help="high diagonal exponent (tpd)")
-    p.add_argument("--margin", type=int, default=1, help="definiteness margin (tpd)")
-    _add_format(p, csv=False)
-    p.set_defaults(func=_cmd_random)
-
-    return parser
 
 
 def _t_list(text: str) -> list[float]:
@@ -431,19 +291,89 @@ def _t_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad base list {text!r}") from exc
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FILE = _arg("file")
+_UNICODE = _arg("--unicode", action="store_true")
+_ALL, _NO_CSV = ("table", "csv", "json"), ("table", "json")
+
+# Each subcommand once, in help order: name -> (handler, help, --format
+# choices, add_argument specs in option order; --format comes last).
+_COMMANDS = {
+    "check": (_cmd_check, "classify a signed symmetric matrix", _ALL, [_FILE]),
+    "charpoly": (_cmd_charpoly, "characteristic polynomial", _ALL, [_FILE, _UNICODE]),
+    "eig": (_cmd_eig, "eigenvalues of a definite matrix", _ALL, [
+        _FILE,
+        _arg("--report", action="store_true", help="full spectral report with vectors"),
+    ]),
+    "eigvec": (_cmd_eigvec, "eigenvector candidate for one eigenvalue", _NO_CSV, [
+        _FILE,
+        _arg("-k", type=int, required=True, help="eigenvalue index, 1-based"),
+        _arg("--construct", action="store_true",
+             help="also search for a signed resolution of balanced coordinates"),
+        _UNICODE,
+    ]),
+    "star": (_cmd_star, "Kleene star of a signed matrix", _ALL, [_FILE, _UNICODE]),
+    "det": (_cmd_det, "determinant and permanent of the modulus", _ALL, [_FILE]),
+    "poly-roots": (_cmd_poly_roots, "roots of a signed polynomial", _ALL, [_FILE]),
+    "validate": (
+        _cmd_validate, "compare tropical predictions with classical spectra", _ALL, [
+            _arg("file", help="monomial family file"),
+            _arg("--t", type=_t_list, default=DEFAULT_T_GRID,
+                 help="comma-separated list of bases, e.g. 10,100"),
+            _arg("--vectors", action="store_true",
+                 help="compare eigenvectors, not just values"),
+            _arg("--slack", type=float, default=DEFAULT_BALANCE_SLACK),
+        ],
+    ),
+    "gersh": (_cmd_gersh, "Gershgorin-style inclusion bound", _ALL, [
+        _arg("file", help="real symmetric matrix file"),
+    ]),
+    "random": (_cmd_random, "emit a seeded random matrix", _NO_CSV, [
+        _arg("kind", choices=["tpd", "gram"]),
+        _arg("-n", type=int, required=True),
+        _arg("--seed", type=int, default=0),
+        _arg("--lo", type=int, default=0, help="low diagonal exponent (tpd)"),
+        _arg("--hi", type=int, default=5, help="high diagonal exponent (tpd)"),
+        _arg("--margin", type=int, default=1, help="definiteness margin (tpd)"),
+    ]),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="troplectra",
+        description="Signed tropical matrices: spectra, stars, and validation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, formats, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument(
+            "--format", choices=formats, default="table", help="output format"
+        )
+        p.set_defaults(func=func)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
-        return 2
+        out = args.func(args)
+        print(out if isinstance(out, str) else json.dumps(out, indent=2))
     except TropError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

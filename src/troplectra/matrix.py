@@ -54,8 +54,6 @@ __all__ = [
     "SearchExhausted",
     "TMatrix",
     "SMatrix",
-    "mat_add",
-    "mat_mul",
     "mat_pow",
     "identity",
     "mat_vec",
@@ -357,14 +355,6 @@ def _s_dot(u, v) -> SScalar:
             continue
         acc = s_add(acc, s_mul(a, b))
     return acc
-
-
-def mat_add(a, b):
-    return a + b
-
-
-def mat_mul(a, b):
-    return a @ b
 
 
 def mat_pow(a, k: int):

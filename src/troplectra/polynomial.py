@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import groupby
 
 from .semiring import (
     ParseError,
@@ -46,7 +47,6 @@ __all__ = [
     "RootList",
     "TPoly",
     "SPoly",
-    "eval_poly",
     "tmax_roots",
     "is_factored",
     "factor_smax",
@@ -234,10 +234,6 @@ class SPoly(_BasePoly):
         return SPoly([s_neg(c) for c in self.coeffs])
 
 
-def eval_poly(p, x):
-    return p.eval(x)
-
-
 def _as_tpoly(p) -> TPoly:
     if isinstance(p, TPoly):
         return p
@@ -337,14 +333,9 @@ def factor_smax(p: SPoly) -> RootList:
     for k in range(n, uval, -1):
         r = s_neg(s_mul(p.coeffs[k - 1], p.coeffs[k].inv()))
         roots.append(r)
-    pairs = []
-    for r in roots:
-        if pairs and pairs[-1][0] == r:
-            pairs[-1][1] += 1
-        else:
-            pairs.append([r, 1])
+    pairs = [(r, len(list(run))) for r, run in groupby(roots)]
     if uval > 0:
-        pairs.append([SScalar.zero(), uval])
+        pairs.append((SScalar.zero(), uval))
     unique = True
     for r in {r for r, _ in pairs if r.mag is not None}:
         mate = s_neg(r)
@@ -356,7 +347,7 @@ def factor_smax(p: SPoly) -> RootList:
         ):
             unique = False
             break
-    return RootList([(r, m) for r, m in pairs], unique=unique)
+    return RootList(pairs, unique=unique)
 
 
 def signed_part(p: SPoly) -> SPoly:

@@ -16,8 +16,8 @@ magnitudes and multiplies signs, with balanced absorbing.
 
 Magnitudes are ``int`` or ``fractions.Fraction`` for exact work.  Floats
 are accepted as a second lane for numeric experiments; all comparisons
-between magnitudes go through one helper that applies a configurable
-tolerance whenever a float is involved, so near-ties collapse to balanced
+between magnitudes go through one helper that applies a fixed tolerance
+(``1e-9``) whenever a float is involved, so near-ties collapse to balanced
 instead of flapping on rounding noise.
 """
 
@@ -35,8 +35,6 @@ __all__ = [
     "FractionalPowerOfSigned",
     "TScalar",
     "SScalar",
-    "balance_eps",
-    "set_balance_eps",
     "t_add",
     "t_mul",
     "t_pow",
@@ -77,24 +75,11 @@ class FractionalPowerOfSigned(TropError):
 _BALANCE_EPS = 1e-9
 
 
-def balance_eps() -> float:
-    """Current tolerance used when comparing float magnitudes."""
-    return _BALANCE_EPS
-
-
-def set_balance_eps(eps: float) -> None:
-    """Set the float comparison tolerance (exact arithmetic is unaffected)."""
-    if not eps >= 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    global _BALANCE_EPS
-    _BALANCE_EPS = float(eps)
-
-
 def _mag_cmp(x: Mag, y: Mag) -> int:
     """Three-way compare two magnitudes.
 
     Exact when both sides are int/Fraction.  If either side is a float the
-    comparison is tolerant: values within ``balance_eps()`` count as equal.
+    comparison is tolerant: values within ``_BALANCE_EPS`` count as equal.
     """
     if isinstance(x, float) or isinstance(y, float):
         d = x - y
@@ -230,8 +215,6 @@ def t_pow(a: TScalar, k) -> TScalar:
         if k == 0:
             return TScalar(0)
         raise ZeroDivisionError("negative power of bottom")
-    if isinstance(a.value, float):
-        return TScalar(float(k) * a.value)
     return TScalar(_norm_mag(k * a.value))
 
 
@@ -430,10 +413,7 @@ def s_pow(a: SScalar, k) -> SScalar:
         raise ZeroDivisionError("negative power of zero")
     if k == 0:
         return SScalar.one()
-    if isinstance(a.mag, float):
-        new_mag: Mag = float(k) * a.mag
-    else:
-        new_mag = _norm_mag(k * a.mag)
+    new_mag = _norm_mag(k * a.mag)
     if k.denominator == 1:
         n = k.numerator
         if a.sign == _BAL:

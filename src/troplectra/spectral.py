@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .matrix import (
     SearchExhausted,
@@ -61,8 +61,6 @@ __all__ = [
     "VectorClass",
     "quadratic_form",
     "classify_pd",
-    "is_tpd",
-    "is_tpsd",
     "charpoly",
     "tmax_charpoly",
     "tmax_eigenvalues",
@@ -169,16 +167,6 @@ def classify_pd(a: SMatrix) -> PDClass:
     raise InternalMismatch("unreachable definiteness state")
 
 
-def is_tpd(a: SMatrix) -> PDClass:
-    """Full classification; the caller checks ``verdict is PDVerdict.TPD``."""
-    return classify_pd(a)
-
-
-def is_tpsd(a: SMatrix) -> PDClass:
-    """Full classification; semidefinite means any verdict but NotTPSD."""
-    return classify_pd(a)
-
-
 # --- characteristic polynomial and eigenvalues ---------------------------------
 
 
@@ -268,13 +256,7 @@ def tmax_eigenvalues(m, *, size_limit: int | None = None) -> RootList:
         )
         if dominated:
             diag = sorted((m[i, i] for i in range(n)), reverse=True)
-            pairs = []
-            for d in diag:
-                if pairs and pairs[-1][0] == d:
-                    pairs[-1][1] += 1
-                else:
-                    pairs.append([d, 1])
-            return RootList([(d, c) for d, c in pairs])
+            return RootList([(d, len(list(run))) for d, run in groupby(diag)])
     return tmax_roots(tmax_charpoly(m, size_limit=size_limit))
 
 
@@ -285,18 +267,14 @@ def smax_eigenvalues(a: SMatrix) -> RootList:
     if classify_pd(a).verdict is not PDVerdict.TPD:
         raise NotTPD("eigenvalues via the diagonal need a positive definite matrix")
     p = charpoly(a)
-    pairs = []
-    for d, _ in _sorted_diag(a):
-        if pairs and pairs[-1][0] == d:
-            pairs[-1][1] += 1
-        else:
-            pairs.append([d, 1])
+    diag = (d for d, _ in _sorted_diag(a))
+    pairs = [(d, len(list(run))) for d, run in groupby(diag)]
     for d, _ in pairs:
         if not (p.eval(d).is_bal or p.eval(d).is_zero):
             raise InternalMismatch(
                 f"diagonal entry {format_scalar(d)} fails the balance root test"
             )
-    return RootList([(d, c) for d, c in pairs], unique=True)
+    return RootList(pairs, unique=True)
 
 
 # --- eigenvectors ----------------------------------------------------------------

@@ -1,19 +1,12 @@
 """Shared hypothesis strategies and test configuration."""
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from troplectra.semiring import SScalar, TScalar, set_balance_eps
+from troplectra.semiring import SScalar, TScalar
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
-
-
-@pytest.fixture(autouse=True)
-def _reset_balance_eps():
-    yield
-    set_balance_eps(1e-9)
 
 
 # small exact magnitudes keep collisions frequent, which is where the

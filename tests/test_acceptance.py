@@ -18,7 +18,6 @@ from troplectra.matrix import (
     determinant,
     identity,
     kleene_star,
-    mat_mul,
     parse_matrix,
     parse_vector,
     permanent,
@@ -266,7 +265,7 @@ def test_06_determinant_modulus_and_adjugate_balance_identities():
             assert per.value is None
         else:
             assert det.mag == per.value
-        product = mat_mul(a, adjugate(a))
+        product = a @ adjugate(a)
         scaled = det * identity(n)
         for i in range(n):
             for j in range(n):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line driver."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -411,6 +412,51 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["check", str(DATA / "pd3_pos.mat"), "--bogus"])
         assert exc.value.code == 2
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.mat"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ParseError")
+
+
+class TestParser:
+    def test_parser_not_rebuilt_per_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert ok(capsys, "check", DATA / "pd3_mixed.mat") == "TPD\n"
+        assert ok(capsys, "det", DATA / "pd3_pos.mat") == "det p6\npermanent 6\n"
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigvec", str(DATA / "pd3_mixed.mat"), "-k", "1"],
+            ["random", "tpd", "-n", "3"],
+        ],
+    )
+    def test_csv_rejected_where_not_offered(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_help_lists_subcommands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert (
+            "{check,charpoly,eig,eigvec,star,det,poly-roots,validate,gersh,random}"
+            in capsys.readouterr().out
+        )
 
 
 class TestRoundTrip:

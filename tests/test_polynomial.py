@@ -17,7 +17,6 @@ from troplectra.polynomial import (
     TPoly,
     UnsupportedCase,
     ZeroPolynomial,
-    eval_poly,
     factor_smax,
     format_poly,
     is_factored,
@@ -63,7 +62,7 @@ def test_eval_pinned():
     assert CUBIC.eval(P(3)) == B(9)
     assert CUBIC.eval(P(4)) == P(12)
     assert CUBIC.eval(Z) == N(6)
-    assert eval_poly(CUBIC, P(0)) == N(6)
+    assert CUBIC.eval(P(0)) == N(6)
     t = TPoly.from_values([4, 3, 0])
     assert t.eval(TScalar(5)) == TScalar(10)
     assert t.eval(TScalar.bottom()) == TScalar(4)

@@ -25,7 +25,6 @@ from troplectra.semiring import (
     s_pow,
     scalar_from_json,
     scalar_to_json,
-    set_balance_eps,
     t_pow,
 )
 
@@ -366,17 +365,8 @@ def test_float_near_tie_balances():
     a = P(1.0)
     b = N(1.0 + 1e-12)
     assert (a + b).is_bal
-    set_balance_eps(0.0)
-    assert (a + b) == b
 
 
 def test_float_eps_respected_in_equality():
     assert P(2.0) == P(2.0 + 1e-10)
     assert P(2.0) != P(2.0 + 1e-6)
-    set_balance_eps(1e-3)
-    assert P(2.0) == P(2.0 + 1e-6)
-
-
-def test_set_balance_eps_rejects_negative():
-    with pytest.raises(ValueError):
-        set_balance_eps(-1.0)

@@ -37,8 +37,6 @@ from troplectra.spectral import (
     eigvec_info,
     eigvec_kleene,
     genericity_check,
-    is_tpd,
-    is_tpsd,
     quadratic_form,
     smax_eigenvalues,
     spectral_report,
@@ -176,12 +174,12 @@ def test_classify_pd_errors():
         classify_pd(SMatrix([[P(1), P(0)]]))
 
 
-def test_is_tpd_is_tpsd_return_classification():
-    assert is_tpd(MIXED).verdict is PDVerdict.TPD
-    assert is_tpd(MIXED).witness is None
+def test_classify_pd_tpd_and_tpsd_only_witness():
+    assert classify_pd(MIXED).verdict is PDVerdict.TPD
+    assert classify_pd(MIXED).witness is None
     flat = SMatrix([[P(0), P(0)], [P(0), P(0)]])
-    assert is_tpsd(flat).verdict is PDVerdict.TPSD_ONLY
-    assert is_tpsd(flat).witness is not None
+    assert classify_pd(flat).verdict is PDVerdict.TPSD_ONLY
+    assert classify_pd(flat).witness is not None
 
 
 @given(
