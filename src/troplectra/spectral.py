@@ -181,6 +181,15 @@ def _sorted_diag(a: SMatrix) -> list[tuple[SScalar, int]]:
     )
     return items
 
+
+def _tpd_sorted_diag(a: SMatrix, message: str) -> list[tuple[SScalar, int]]:
+    """The one definiteness check of a public entry point: the sorted
+    diagonal of a positive definite matrix, NotTPD(message) otherwise."""
+    if classify_pd(a).verdict is not PDVerdict.TPD:
+        raise NotTPD(message)
+    return _sorted_diag(a)
+
+
 def charpoly(a: SMatrix, *, size_limit: int | None = None) -> SPoly:
     """Coefficients of det(X I - A), low degree first.
 
@@ -195,24 +204,26 @@ def charpoly(a: SMatrix, *, size_limit: int | None = None) -> SPoly:
             fast = classify_pd(a).verdict is PDVerdict.TPD
         except NotSigned:
             fast = False
-    coeffs = []
     if fast:
-        diag = [d for d, _ in _sorted_diag(a)]
-        for k in range(n, -1, -1):
-            # coefficient of X^(n-k) uses the k largest diagonal entries
-            prod = SScalar.one()
-            for d in diag[:k]:
-                prod = s_mul(prod, d)
-            if k % 2:
-                prod = s_neg(prod)
-            coeffs.append(prod)
-        return SPoly(coeffs)
+        return _diag_charpoly([d for d, _ in _sorted_diag(a)])
+    coeffs = []
     for j in range(n + 1):
         t = trace_k(a, n - j, size_limit=size_limit)
         if (n - j) % 2:
             t = s_neg(t)
         coeffs.append(t)
     return SPoly(coeffs)
+
+
+def _diag_charpoly(values) -> SPoly:
+    """The positive definite fast path of ``charpoly``, from the diagonal
+    sorted by decreasing magnitude: the coefficient of X^(n-k) is the
+    product of the k largest entries, negated for odd k."""
+    prods = [SScalar.one()]
+    for d in values:
+        prods.append(s_mul(prods[-1], d))
+    signed = [s_neg(p) if k % 2 else p for k, p in enumerate(prods)]
+    return SPoly(signed[::-1])
 
 
 def tmax_charpoly(m, *, size_limit: int | None = None) -> TPoly:
@@ -264,13 +275,19 @@ def smax_eigenvalues(a: SMatrix) -> RootList:
     """Eigenvalues of a positive definite matrix: the diagonal entries in
     decreasing order with multiplicities, each verified to balance the
     characteristic polynomial."""
-    if classify_pd(a).verdict is not PDVerdict.TPD:
-        raise NotTPD("eigenvalues via the diagonal need a positive definite matrix")
-    p = charpoly(a)
-    diag = (d for d, _ in _sorted_diag(a))
-    pairs = [(d, len(list(run))) for d, run in groupby(diag)]
+    message = "eigenvalues via the diagonal need a positive definite matrix"
+    return _smax_eigenvalues(_tpd_sorted_diag(a, message))
+
+
+def _smax_eigenvalues(diag) -> RootList:
+    """``smax_eigenvalues`` from the sorted diagonal of a matrix already
+    classified positive definite."""
+    values = [d for d, _ in diag]
+    p = _diag_charpoly(values)
+    pairs = [(d, len(list(run))) for d, run in groupby(values)]
     for d, _ in pairs:
-        if not (p.eval(d).is_bal or p.eval(d).is_zero):
+        value = p.eval(d)
+        if not (value.is_bal or value.is_zero):
             raise InternalMismatch(
                 f"diagonal entry {format_scalar(d)} fails the balance root test"
             )
@@ -280,18 +297,15 @@ def smax_eigenvalues(a: SMatrix) -> RootList:
 # --- eigenvectors ----------------------------------------------------------------
 
 
-def _check_tpd(a: SMatrix) -> int:
-    if classify_pd(a).verdict is not PDVerdict.TPD:
-        raise NotTPD("eigenvector formulas need a positive definite matrix")
-    return a.rows
+_EIGVEC_NEEDS_TPD = "eigenvector formulas need a positive definite matrix"
 
 
 def _tpd_diag(a: SMatrix, k: int) -> list[tuple[SScalar, int]]:
     """Sorted diagonal of a positive definite matrix with k in range."""
-    n = _check_tpd(a)
-    if not 1 <= k <= n:
-        raise ShapeMismatch(f"eigenvalue index {k} out of range 1..{n}")
-    return _sorted_diag(a)
+    diag = _tpd_sorted_diag(a, _EIGVEC_NEEDS_TPD)
+    if not 1 <= k <= len(diag):
+        raise ShapeMismatch(f"eigenvalue index {k} out of range 1..{len(diag)}")
+    return diag
 
 
 def _simple_diag(a: SMatrix, k: int) -> list[tuple[SScalar, int]]:
@@ -335,9 +349,13 @@ def eigvec_adjugate(a: SMatrix, k: int, *, size_limit: int | None = None) -> tup
     column is well defined for repeated eigenvalues too, it is just no
     longer guaranteed to contain a signed pivot.
     """
-    diag = _tpd_diag(a, k)
-    g = _gamma(diag, k)
-    b = (g * SMatrix.identity(a.rows)) + (-a)
+    return _adjugate_vector(a, _tpd_diag(a, k), k, size_limit=size_limit)
+
+
+def _adjugate_vector(a: SMatrix, diag, k: int, *, size_limit=None) -> tuple:
+    """``eigvec_adjugate`` from the sorted diagonal of a positive definite
+    matrix."""
+    b = (_gamma(diag, k) * SMatrix.identity(a.rows)) + (-a)
     return adjugate_column(b, diag[k - 1][1], size_limit=size_limit)
 
 
@@ -385,7 +403,7 @@ def eigvec_kleene(a: SMatrix, k: int) -> tuple:
     and InternalMismatch is raised if they differ.
     """
     diag = _simple_diag(a, k)
-    return _kleene_vector(a, diag, k, eigvec_adjugate(a, k))
+    return _kleene_vector(a, diag, k, _adjugate_vector(a, diag, k))
 
 
 def classify_eigenvector(a: SMatrix, gamma: SScalar, v) -> VectorClass:
@@ -431,7 +449,7 @@ def eigvec_construct(a: SMatrix, k: int) -> tuple:
     first; existence is guaranteed for a simple eigenvalue.
     """
     diag = _simple_diag(a, k)
-    return _resolve_signs(a, _gamma(diag, k), eigvec_adjugate(a, k))
+    return _resolve_signs(a, _gamma(diag, k), _adjugate_vector(a, diag, k))
 
 
 def _uniqueness_and_strength(a: SMatrix, k: int, v) -> tuple[bool, str]:
@@ -458,21 +476,21 @@ def uniqueness_and_strength(a: SMatrix, k: int) -> dict:
     irreducibility (for k at least 2), positively by the leading
     eigenvalue with a signed vector; anything else stays unknown.
     """
-    _simple_diag(a, k)
-    unique, strong = _uniqueness_and_strength(a, k, eigvec_adjugate(a, k))
+    diag = _simple_diag(a, k)
+    unique, strong = _uniqueness_and_strength(a, k, _adjugate_vector(a, diag, k))
     return {"unique_up_to_scalar": unique, "strong_exists": strong}
 
 
 def genericity_check(a: SMatrix) -> bool:
     """Distinct diagonal and every adjugate eigenvector signed with no
     zero coordinates."""
-    n = _check_tpd(a)
-    diag = _sorted_diag(a)
+    diag = _tpd_sorted_diag(a, _EIGVEC_NEEDS_TPD)
+    n = len(diag)
     mags = [d.mag for d, _ in diag]
     if len(set(mags)) != n:
         return False
     for k in range(1, n + 1):
-        v = eigvec_adjugate(a, k)
+        v = _adjugate_vector(a, diag, k)
         if not all(e.is_pos or e.is_neg for e in v):
             return False
     return True
@@ -498,9 +516,14 @@ def eigvec_info(a: SMatrix, k: int) -> EigvecInfo:
     column, its classification and, for a simple eigenvalue, the star
     vector (compared with the column; InternalMismatch if they differ)
     and the uniqueness and strength verdicts."""
-    diag = _tpd_diag(a, k)
+    return _eigvec_info(a, _tpd_diag(a, k), k)
+
+
+def _eigvec_info(a: SMatrix, diag, k: int) -> EigvecInfo:
+    """``eigvec_info`` from the sorted diagonal of a positive definite
+    matrix."""
     g = _gamma(diag, k)
-    v = eigvec_adjugate(a, k)
+    v = _adjugate_vector(a, diag, k)
     cls = classify_eigenvector(a, g, v)
     if not _is_simple(diag, k):
         return EigvecInfo(k, g, False, v, None, cls, False, "unknown")
@@ -548,10 +571,10 @@ def spectral_report(a: SMatrix) -> SpectralReport:
     star-route vector is compared with that column, and a difference
     raises InternalMismatch.
     """
-    n = _check_tpd(a)
-    values = smax_eigenvalues(a)
-    diag = _sorted_diag(a)
-    infos = [eigvec_info(a, k) for k in range(1, n + 1)]
+    diag = _tpd_sorted_diag(a, _EIGVEC_NEEDS_TPD)
+    n = len(diag)
+    values = _smax_eigenvalues(diag)
+    infos = [_eigvec_info(a, diag, k) for k in range(1, n + 1)]
     mags = [d.mag for d, _ in diag]
     generic = len(set(mags)) == n and all(
         all(e.is_pos or e.is_neg for e in info.adjugate) for info in infos

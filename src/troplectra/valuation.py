@@ -11,11 +11,13 @@ should reproduce the tropical data.  The comparison machinery lives in
 ``ValuationReport`` with per-pair residuals, sign-match flags, and
 per-coordinate checks.
 
-Classical eigenproblems are solved by an in-repo cyclic Jacobi iteration
-(``jacobi_eigen``); there is also a Gershgorin-style inclusion bound for
-real symmetric matrices with dominated off-diagonals, seeded random
-generators for both tropical and classical test matrices, and a Gram-matrix
-experiment pipeline that runs the whole chain on one large instance.
+Classical eigenproblems are solved by an in-repo round-robin Jacobi
+iteration (``jacobi_eigen``), relatively accurate and batched over a stack
+of matrices, so one call covers a family's whole grid of bases.  There is
+also a Gershgorin-style inclusion bound for real symmetric matrices with
+dominated off-diagonals, seeded random generators for both tropical and
+classical test matrices, and a Gram-matrix experiment pipeline that runs
+the whole chain on one large instance.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .spectral import (
     InternalMismatch,
     NotTPD,
     PDVerdict,
+    _adjugate_vector,
+    _smax_eigenvalues,
     _sorted_diag,
     classify_pd,
-    eigvec_adjugate,
-    smax_eigenvalues,
 )
 
 __all__ = [
@@ -126,18 +128,23 @@ def sv_vector(xs: Iterable[float], t: float) -> tuple[SScalar, ...]:
     return tuple(sv_t(x, tf) for x in xs)
 
 
-def _as_sym_array(b, *, rtol: float = _SYM_RTOL) -> np.ndarray:
-    """Validate and copy a dense real symmetric matrix as a float ndarray."""
+def _as_sym_array(b, *, stack: bool = False) -> np.ndarray:
+    """Validate and copy a dense real symmetric matrix as a float ndarray.
+
+    With ``stack`` a ``(T, n, n)`` stack of such matrices is accepted too,
+    each checked against its own scale.
+    """
     arr = np.asarray(b, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise BadParams("matrix entries must be finite")
-    scale = float(np.abs(arr).max()) if arr.size else 0.0
-    gap = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
-    if gap > rtol * max(1.0, scale):
+    flip = np.swapaxes(arr, -1, -2)
+    scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    gap = np.abs(arr - flip).max(axis=(-2, -1), initial=0.0)
+    if (gap > _SYM_RTOL * np.maximum(1.0, scale)).any():
         raise ShapeMismatch("matrix is not symmetric within tolerance")
-    return 0.5 * (arr + arr.T)
+    return 0.5 * (arr + flip)
 
 
 def tropicalize_real(b, t: float) -> SMatrix:
@@ -320,77 +327,140 @@ def lift_tpd(a: SMatrix) -> MonomialMatrix:
 # --- dense symmetric eigensolver ----------------------------------------------
 
 
+def _round_robin(m: int) -> np.ndarray:
+    """Round-robin ordering of the pairs of ``m`` (even) indices.
+
+    Row ``s`` lists the ``m / 2`` disjoint pairs of step ``s`` as
+    ``p0, q0, p1, q1, ...``; the ``m - 1`` steps of a sweep meet every pair
+    once.  This is the parallel ordering of Brent & Luk (1985): index 0
+    stays put while the others turn one seat per step.
+    """
+    seat = np.column_stack((np.arange(m // 2), np.arange(m - 1, m // 2 - 1, -1)))
+    seat = seat.ravel()
+    step = np.arange(m - 1)[:, None]
+    return np.where(seat == 0, 0, 1 + (step + seat - 1) % (m - 1))
+
+
 def jacobi_eigen(
     b, tol: float = 1e-12, max_sweeps: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a real symmetric matrix.
+    """Jacobi eigendecomposition of a real symmetric matrix, or of a stack.
 
-    Row-cyclic sweeps of two-sided rotations annihilate off-diagonal entries
-    until their Frobenius mass drops below ``tol`` times the matrix norm.
+    ``b`` is one ``(n, n)`` matrix or a ``(T, n, n)`` stack, as for
+    ``numpy.linalg.eigh``.  A sweep runs the ``n - 1`` steps of a round-robin
+    ordering (Brent & Luk, 1985); each step rotates its ``n / 2`` disjoint
+    pairs in one batched update over the whole stack (an odd ``n`` is padded
+    with a decoupled zero index).  A pair ``(p, q)`` counts as converged,
+    and is not rotated, while ``|a_pq| <= tol * sqrt(|a_pp * a_qq|)``.  A
+    matrix is done after a sweep that would rotate none of its pairs, which
+    is tested on all pairs at once, and then leaves the stack.
+
+    That per-pair rule (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
+    1992) gives a positive definite matrix every eigenvalue to a small
+    *relative* error, bounded through the condition number of the matrix
+    scaled to unit diagonal rather than through its own.  So the tiny
+    eigenvalues of a graded family are as accurate as the large ones, which
+    a rule on the off-diagonal norm does not give.  Stacked matrices go
+    through exactly the rotations of separate calls.
+
     Returns eigenvalues sorted descending and the matching orthonormal
-    eigenvector columns.  Raises :class:`NoConvergence` if the budget of
-    ``max_sweeps`` full sweeps is exhausted first.
+    eigenvector columns, with a leading stack axis when ``b`` has one.
+    Raises :class:`NoConvergence` if some matrix still has a pair above the
+    threshold after ``max_sweeps`` sweeps.
     """
-    a = _as_sym_array(b)
+    a = _as_sym_array(b, stack=True)
     if not (tol > 0.0):
         raise BadParams(f"tolerance must be positive, got {tol!r}")
     if max_sweeps < 1:
         raise BadParams(f"need at least one sweep, got {max_sweeps!r}")
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if n == 1 or scale == 0.0:
-        w = np.diag(a).copy()
-        order = np.argsort(-w, kind="stable")
-        return w[order], v[:, order]
-    off_part = np.empty_like(a)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    count, n = a.shape[0], a.shape[1]
+    m = n + n % 2
+    k = m // 2
+    # All matrices share one frame: ``where[i]`` is the row and column of
+    # original index i.  A rotating step gathers its pairs into adjacent
+    # rows, rotates every (2, m) row block by one batched matmul, and does
+    # the columns by the same move on the transpose.  The halves of the
+    # result are added to its transpose, so the work matrix stays exactly
+    # symmetric and a transpose never changes it.  ``w_work`` holds the
+    # eigenvectors as rows, so only its rows move.
+    frame = np.arange(m)
+    a_work = np.zeros((count, m, m))
+    a_work[:, :n, :n] = a
+    w_work = np.zeros((count, m, m))
+    w_work[:, frame, frame] = 1.0
+    values = np.empty((count, n))
+    vectors = np.empty((count, n, n))
+    live = np.arange(count)
+    where = frame.copy()
+    evens, odds = frame[0::2], frame[1::2]
+    rows3 = np.concatenate((evens, evens, odds))
+    cols3 = np.concatenate((evens, odds, odds))
+    blocks = np.add.outer([0, 1, m, m + 1], evens * (m + 1)).ravel()
+    on_diag = np.diag(np.full(m, np.inf))
+    schedule = _round_robin(m)
     for _ in range(max_sweeps):
-        np.copyto(off_part, a)
-        np.fill_diagonal(off_part, 0.0)
-        if float(np.linalg.norm(off_part)) <= tol * scale:
+        # A sweep rotates nothing exactly when no pair is above the threshold
+        # at its start, so that test runs on all pairs at once.
+        root = np.sqrt(np.abs(a_work.diagonal(0, 1, 2)))
+        limit = tol * (root[:, :, None] * root[:, None, :]) + on_diag
+        busy = (np.abs(a_work) > limit).any(axis=(1, 2))
+        if not busy.all():
+            done = ~busy
+            slots = where[:n]
+            lam = a_work[done][:, slots, slots]
+            order = np.argsort(-lam, axis=1, kind="stable")
+            rr = np.arange(order.shape[0])[:, None]
+            values[live[done]] = lam[rr, order]
+            vectors[live[done]] = w_work[done][rr, slots[order], :n].transpose(0, 2, 1)
+            a_work, w_work, live = a_work[busy], w_work[busy], live[busy]
+        if not live.size:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                num = float(a[q, q] - a[p, p])
-                den = 2.0 * float(apq)
-                if abs(num) > 1e150 * abs(den):
-                    tau = den / (2.0 * num)
-                else:
-                    theta = num / den
-                    tau = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-                    if theta < 0.0:
-                        tau = -tau
-                c = 1.0 / math.hypot(tau, 1.0)
-                s = tau * c
-                rp = a[p, :].copy()
-                rq = a[q, :]
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q]
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for step in schedule:
+            pos = where[step]
+            app, apq, aqq = (
+                a_work[:, pos[rows3], pos[cols3]].reshape(-1, 3, k).transpose(1, 0, 2)
+            )
+            rot = np.abs(apq) > tol * (np.sqrt(np.abs(app)) * np.sqrt(np.abs(aqq)))
+            if not np.count_nonzero(rot):
+                continue
+            # t = tan of the angle, the smaller root of t^2 + 2 t h / a_pq = 1;
+            # adding 0.0 makes h = -0.0 rotate as h = +0.0 does
+            half = 0.5 * (aqq - app) + 0.0
+            den = half + np.copysign(np.hypot(half, apq), half)
+            t = np.divide(apq, den, out=np.zeros(apq.shape), where=rot)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            g = np.concatenate((c, -s, s, c), axis=1).reshape(-1, 2, 2, k)
+            g = g.transpose(0, 3, 1, 2)
+            rowwise = np.matmul(g, a_work.take(pos, axis=1).reshape(-1, k, 2, m))
+            flipped = rowwise.reshape(-1, m, m).transpose(0, 2, 1).take(pos, axis=1)
+            a_work = np.matmul(0.5 * g, flipped.reshape(-1, k, 2, m)).reshape(-1, m, m)
+            a_work = a_work + a_work.transpose(0, 2, 1)
+            # the rotated 2x2 blocks exactly: diagonal by the update formula,
+            # a rotated a_pq to zero, an unrotated one as it was
+            kept = np.where(rot, 0.0, apq)
+            a_work.reshape(-1, m * m)[:, blocks] = np.concatenate(
+                (app - t * apq, kept, kept, aqq + t * apq), axis=1
+            )
+            w_work = np.matmul(g, w_work.take(pos, axis=1).reshape(-1, k, 2, m))
+            w_work = w_work.reshape(-1, m, m)
+            where[step] = frame
     else:
         raise NoConvergence(
-            f"off-diagonal mass still above tolerance after {max_sweeps} sweeps"
+            f"some pair still above the relative tolerance after {max_sweeps} sweeps"
         )
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    if single:
+        return values[0], vectors[0]
+    return values, vectors
 
 
 # --- comparison reports ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordCheck:
     """One coordinate of a classical eigenvector against its prediction.
 
@@ -421,19 +491,41 @@ class CoordCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairRow:
-    """Comparison of one eigenpair at one base value."""
+    """Comparison of one eigenpair at one base value.
+
+    The residuals and the sign verdict follow from ``gamma`` and
+    ``sv_value``, so they are computed on access rather than stored.
+    """
 
     k: int
     t: float
     gamma: SScalar
     sv_value: SScalar
-    residual: float
-    rel_residual: float
-    sign_match: bool
     degenerate: bool = False
     coordinates: tuple[CoordCheck, ...] | None = None
+
+    @property
+    def residual(self) -> float:
+        """Distance between the predicted and the observed magnitude."""
+        if self.sv_value.mag is None:
+            return math.inf
+        return abs(float(self.sv_value.mag) - float(self.gamma.mag))
+
+    @property
+    def rel_residual(self) -> float:
+        """The residual over the observed magnitude."""
+        mag = self.sv_value.mag
+        if mag is None:
+            return math.inf
+        if mag != 0:
+            return self.residual / abs(float(mag))
+        return 0.0 if self.residual == 0.0 else math.inf
+
+    @property
+    def sign_match(self) -> bool:
+        return self.sv_value.sign == self.gamma.sign
 
     @property
     def max_coord_residual(self) -> float | None:
@@ -489,7 +581,7 @@ def _csv_float(x: float | None) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValuationReport:
     """Results of checking tropical spectral predictions at finite bases.
 
@@ -596,24 +688,17 @@ class ValuationReport:
         return "\n".join(lines) + "\n"
 
 
-def _tpd_or_raise(a: SMatrix) -> None:
+def _family_diag(a: SMatrix) -> list[tuple[SScalar, int]]:
+    """Sorted diagonal of a family's valuation, which must be TPD."""
     verdict = classify_pd(a).verdict
     if verdict is not PDVerdict.TPD:
         raise NotTPD(f"family valuation is {verdict.value}, need TPD")
+    return _sorted_diag(a)
 
 
-def _value_row(t: float, gamma: SScalar, lam: float) -> tuple:
-    sv = sv_t(lam, t)
-    gmag = float(gamma.mag)
-    if sv.mag is None:
-        residual = math.inf
-        rel = math.inf
-    else:
-        residual = abs(float(sv.mag) - gmag)
-        rel = residual / abs(float(sv.mag)) if sv.mag != 0 else (
-            0.0 if residual == 0.0 else math.inf
-        )
-    return sv, residual, rel, sv.sign == gamma.sign
+def _evaluate_all(m: MonomialMatrix, ts: tuple[float, ...]) -> np.ndarray:
+    """The family at every base, as one ``(len(ts), n, n)`` stack."""
+    return np.array([m.evaluate(t) for t in ts]).reshape(len(ts), m.n, m.n)
 
 
 def compare_eigenvalues(
@@ -626,17 +711,12 @@ def compare_eigenvalues(
     Jacobi eigenvalues of the evaluated family at each base in ``t_list``.
     """
     ts = tuple(_check_base(t) for t in t_list)
-    a = m.signed_valuation()
-    _tpd_or_raise(a)
-    gammas = smax_eigenvalues(a).expand()
+    gammas = _smax_eigenvalues(_family_diag(m.signed_valuation())).expand()
+    lams, _ = jacobi_eigen(_evaluate_all(m, ts))
     rows = []
-    for t in ts:
-        lam, _ = jacobi_eigen(m.evaluate(t))
+    for t, lam in zip(ts, lams):
         for k in range(1, m.n + 1):
-            sv, residual, rel, ok = _value_row(t, gammas[k - 1], lam[k - 1])
-            rows.append(
-                PairRow(k, t, gammas[k - 1], sv, residual, rel, ok)
-            )
+            rows.append(PairRow(k, t, gammas[k - 1], sv_t(lam[k - 1], t)))
     return ValuationReport(m.n, ts, DEFAULT_BALANCE_SLACK, tuple(rows))
 
 
@@ -712,17 +792,16 @@ def compare_eigenvectors(
     """
     ts = tuple(_check_base(t) for t in t_list)
     a = m.signed_valuation()
-    _tpd_or_raise(a)
+    diag = _family_diag(a)
     n = m.n
-    diag = _sorted_diag(a)
     mags = [d.mag for d, _ in diag]
     if len(set(mags)) != n:
         raise NotGenericDiagonal("diagonal magnitudes must be pairwise distinct")
-    gammas = smax_eigenvalues(a).expand()
+    gammas = _smax_eigenvalues(diag).expand()
     predictions = []
     pivots = []
     for k in range(1, n + 1):
-        vec = eigvec_adjugate(a, k)
+        vec = _adjugate_vector(a, diag, k)
         pos = diag[k - 1][1]
         pivot = vec[pos]
         if not (pivot.is_pos or pivot.is_neg):
@@ -731,51 +810,59 @@ def compare_eigenvectors(
             )
         predictions.append(scale_vec(pivot.inv(), vec))
         pivots.append(pos)
+    lams, stack = jacobi_eigen(_evaluate_all(m, ts))
     rows = []
-    for t in ts:
-        lam, vecs = jacobi_eigen(m.evaluate(t))
+    for t, lam, vecs in zip(ts, lams, stack):
         for k in range(1, n + 1):
-            sv, residual, rel, ok = _value_row(t, gammas[k - 1], lam[k - 1])
+            sv = sv_t(lam[k - 1], t)
             col = vecs[:, k - 1]
             anchor = col[pivots[k - 1]]
             if abs(anchor) <= 1e-12 * float(np.abs(col).max()):
                 rows.append(
-                    PairRow(
-                        k, t, gammas[k - 1], sv, residual, rel, ok,
-                        degenerate=True, coordinates=(),
-                    )
+                    PairRow(k, t, gammas[k - 1], sv, degenerate=True, coordinates=())
                 )
                 continue
             observed = sv_vector(col / anchor, t)
-            rows.append(
-                PairRow(
-                    k, t, gammas[k - 1], sv, residual, rel, ok,
-                    coordinates=_coord_checks(predictions[k - 1], observed, slack),
-                )
-            )
+            checks = _coord_checks(predictions[k - 1], observed, slack)
+            rows.append(PairRow(k, t, gammas[k - 1], sv, coordinates=checks))
     return ValuationReport(n, ts, slack, tuple(rows))
 
 
 # --- Gershgorin-style inclusion bound -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GershgorinBound:
     """Inclusion region for the spectrum of a dominated symmetric matrix.
 
     ``gamma`` measures how strongly the diagonal dominates: the minimum over
     off-diagonal positions of ``sqrt(a_ii * a_jj) / |a_ij|`` (infinite when
-    all off-diagonal entries vanish).  Each diagonal entry becomes the center
-    of a ball of radius ``a_ii * (n - 1) / gamma``; ``contained`` records
-    whether every computed eigenvalue lies in the union.  ``weak`` flags
-    ``gamma < 1``, where the balls are too large to say anything useful.
+    all off-diagonal entries vanish).  Each diagonal entry (``centers``)
+    becomes the center of a ball of radius ``a_ii * (n - 1) / gamma``;
+    ``balls`` lists the (center, radius) pairs, derived on access.
+    ``contained`` records whether every computed eigenvalue lies in the
+    union.  ``weak`` flags ``gamma < 1``, where the balls are too large to
+    say anything useful.
     """
 
     gamma: float
-    balls: tuple[tuple[float, float], ...]
+    centers: tuple[float, ...]
     contained: bool
-    weak: bool
     eigenvalues: tuple[float, ...] = field(repr=False, default=())
+
+    @property
+    def balls(self) -> tuple[tuple[float, float], ...]:
+        return _balls(self.centers, self.gamma)
+
+    @property
+    def weak(self) -> bool:
+        return self.gamma < 1.0
+
+
+def _balls(centers: tuple[float, ...], gamma: float) -> tuple[tuple[float, float], ...]:
+    if math.isinf(gamma):
+        return tuple((c, 0.0) for c in centers)
+    return tuple((c, c * (len(centers) - 1) / gamma) for c in centers)
 
 
 def gershgorin_pd_bound(b) -> GershgorinBound:
@@ -790,15 +877,11 @@ def gershgorin_pd_bound(b) -> GershgorinBound:
         for j in range(i + 1, n):
             if arr[i, j] != 0.0:
                 gamma = min(gamma, float(math.sqrt(d[i] * d[j]) / abs(arr[i, j])))
-    if math.isinf(gamma):
-        balls = tuple((float(c), 0.0) for c in d)
-    else:
-        balls = tuple((float(c), float(c) * (n - 1) / gamma) for c in d)
-    lam, _ = jacobi_eigen(arr)
-    contained = all(
-        any(abs(x - c) <= r for c, r in balls) for x in lam.tolist()
-    )
-    return GershgorinBound(gamma, balls, contained, gamma < 1.0, tuple(lam.tolist()))
+    centers = tuple(d.tolist())
+    balls = _balls(centers, gamma)
+    lam = tuple(jacobi_eigen(arr)[0].tolist())
+    contained = all(any(abs(x - c) <= r for c, r in balls) for x in lam)
+    return GershgorinBound(gamma, centers, contained, lam)
 
 
 # --- random instance generators --------------------------------------------------
@@ -856,7 +939,7 @@ def random_gram_pd(n: int, seed: int) -> np.ndarray:
 # --- large-instance experiment ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GramExperiment:
     """One full run of the Gram-matrix valuation pipeline.
 
@@ -881,14 +964,14 @@ def gram_experiment(n: int = 100, seed: int = 0, t: float = 10.0) -> GramExperim
     b = random_gram_pd(n, seed)
     a = tropicalize_real(b, tf)
     verdict = classify_pd(a).verdict
+    diag = _sorted_diag(a)
     if verdict is PDVerdict.TPD:
-        gammas = smax_eigenvalues(a).expand()
+        gammas = _smax_eigenvalues(diag).expand()
     else:
-        gammas = [d for d, _ in _sorted_diag(a)]
+        gammas = [d for d, _ in diag]
     lam, _ = jacobi_eigen(b)
     rows = []
     for k in range(1, n + 1):
-        sv, residual, rel, ok = _value_row(tf, gammas[k - 1], lam[k - 1])
-        rows.append(PairRow(k, tf, gammas[k - 1], sv, residual, rel, ok))
+        rows.append(PairRow(k, tf, gammas[k - 1], sv_t(lam[k - 1], tf)))
     report = ValuationReport(n, (tf,), DEFAULT_BALANCE_SLACK, tuple(rows))
     return GramExperiment(n, seed, tf, verdict, report)

@@ -1,8 +1,10 @@
 """Shared hypothesis strategies and test configuration."""
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from troplectra import spectral, valuation
 from troplectra.semiring import SScalar, TScalar
 
 settings.register_profile("suite", deadline=None)
@@ -32,3 +34,18 @@ def signed_scalars(zero=True):
 
 
 tscalars = st.one_of(st.just(TScalar.bottom()), st.builds(TScalar, small_mags))
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Count the definiteness classifications the library runs."""
+    calls = []
+    original = spectral.classify_pd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "classify_pd", counting)
+    monkeypatch.setattr(valuation, "classify_pd", counting)
+    return calls

@@ -743,3 +743,42 @@ def test_star_cross_check_still_runs(perturbed_star, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("InternalMismatch: ")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        smax_eigenvalues,
+        spectral_report,
+        charpoly,
+        genericity_check,
+        lambda a: eigvec_adjugate(a, 2),
+        lambda a: eigvec_kleene(a, 2),
+        lambda a: eigvec_construct(a, 2),
+        lambda a: eigvec_info(a, 2),
+        lambda a: uniqueness_and_strength(a, 2),
+    ],
+)
+def test_each_entry_point_classifies_once(classify_calls, entry):
+    entry(DISTINCT5)
+    assert len(classify_calls) == 1
+
+
+NOT_TPD = SMatrix([[P(1), P(5)], [P(5), P(1)]])
+
+
+def test_definiteness_messages_come_first():
+    eigvec_msg = "eigenvector formulas need a positive definite matrix"
+    with pytest.raises(NotTPD, match="eigenvalues via the diagonal need"):
+        smax_eigenvalues(NOT_TPD)
+    for call in (
+        spectral_report,
+        genericity_check,
+        lambda a: eigvec_adjugate(a, 9),
+        lambda a: eigvec_info(a, 9),
+        lambda a: eigvec_kleene(a, 9),
+    ):
+        with pytest.raises(NotTPD, match=eigvec_msg):
+            call(NOT_TPD)
+    with pytest.raises(ShapeMismatch, match=r"eigenvalue index 9 out of range 1\.\.5"):
+        eigvec_info(DISTINCT5, 9)

@@ -352,6 +352,111 @@ class TestJacobiEigen:
             jacobi_eigen([[math.inf, 0.0], [0.0, 1.0]])
 
 
+
+
+def test_graded_two_by_two_small_eigenvalue_is_relatively_accurate():
+    # the normwise rule stops at once here and returns the diagonal, 1.0
+    w, _ = jacobi_eigen([[1e24, 1e11], [1e11, 1.0]])
+    assert w[1] == pytest.approx(0.99, rel=1e-14)
+
+
+def test_lifted_families_match_a_high_precision_oracle():
+    """Relative eigenvalue error against mpmath at 100 digits, on graded
+    lifted TPD families whose eigenvalues span up to 48 decades."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for seed in range(30):
+        fam = lift_tpd(random_tpd(8, seed, exponent_range=(0, 12)))
+        for t in (1e2, 1e4):
+            b = fam.evaluate(t)
+            w, _ = jacobi_eigen(b)
+            with mpmath.workdps(100):
+                ref = mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True)
+                ref = sorted((ref[i] for i in range(8)), reverse=True)
+                for x, r in zip(w.tolist(), ref):
+                    worst = max(worst, float(abs((mpmath.mpf(x) - r) / r)))
+    assert worst <= 1e-12
+
+
+_SMALL_INTS = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def edge_symmetric(draw, n=None):
+    """Indefinite and singular symmetric matrices with exact entries:
+    rank one, low rank with mixed-sign weights (exact zero eigenvalues), or
+    a mixed-sign diagonal with zeros and a few couplings."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=7))
+    kind = draw(st.sampled_from(["rank1", "low_rank", "mixed_diagonal"]))
+    if kind == "rank1":
+        x = np.array(draw(st.lists(_SMALL_INTS, min_size=n, max_size=n)), float)
+        return np.outer(x, x)
+    if kind == "low_rank":
+        r = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+        c = draw(st.lists(_SMALL_INTS, min_size=n * r, max_size=n * r))
+        c = np.array(c, float).reshape(n, r)
+        weights = st.sampled_from([-2.0, -1.0, 1.0, 3.0])
+        d = np.array(draw(st.lists(weights, min_size=r, max_size=r)))
+        return (c * d) @ c.T
+    entries = st.sampled_from([-5.0, -1.0, 0.0, 0.0, 2.0, 7.0])
+    m = np.diag(draw(st.lists(entries, min_size=n, max_size=n)))
+    index = st.integers(min_value=0, max_value=n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=n)):
+        if i != j:
+            m[i, j] = m[j, i] = draw(_SMALL_INTS)
+    return m
+
+
+@given(edge_symmetric())
+def test_edge_cases_converge_with_test_10_bounds(m):
+    n = m.shape[0]
+    w, v = jacobi_eigen(m)
+    assert all(w[i] >= w[i + 1] for i in range(n - 1))
+    scale = max(np.linalg.norm(m), 1e-300)
+    assert np.linalg.norm((v * w) @ v.T - m) / scale <= 1e-9
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
+
+
+@st.composite
+def edge_stacks(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    count = draw(st.integers(min_value=1, max_value=4))
+    return np.stack([draw(edge_symmetric(n)) for _ in range(count)])
+
+
+@given(edge_stacks())
+def test_stacked_call_matches_separate_calls(stack):
+    w, v = jacobi_eigen(stack)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    for i, m in enumerate(stack):
+        wi, vi = jacobi_eigen(m)
+        assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
+
+
+def test_stacked_lifted_families_match_separate_calls():
+    for seed in range(6):
+        fam = lift_tpd(random_tpd(5 + seed % 3, seed, exponent_range=(0, 12)))
+        stack = np.stack([fam.evaluate(t) for t in (10.0, 1e2, 1e4)])
+        w, v = jacobi_eigen(stack)
+        for i in range(3):
+            wi, vi = jacobi_eigen(stack[i])
+            assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
+
+
+def test_stack_shapes_and_rejections():
+    w, v = jacobi_eigen(np.zeros((0, 3, 3)))
+    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+    with pytest.raises(ShapeMismatch):
+        jacobi_eigen(np.ones((2, 2, 3)))
+    with pytest.raises(ShapeMismatch):
+        jacobi_eigen(np.ones((1, 2, 2, 2)))
+    with pytest.raises(ShapeMismatch):
+        jacobi_eigen(np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))
+    with pytest.raises(ShapeMismatch):
+        tropicalize_real(np.stack([np.eye(2)] * 2), 10.0)
+
+
 # --- compare_eigenvalues -----------------------------------------------------------
 
 
@@ -679,3 +784,15 @@ class TestGramExperiment:
         exp = gram_experiment(n=5, seed=1)
         assert isinstance(exp.report, ValuationReport)
         assert isinstance(gershgorin_pd_bound(random_gram_pd(5, 1)), GershgorinBound)
+
+
+def test_lab_entry_points_classify_once(classify_calls):
+    fam = family()
+    compare_eigenvalues(fam, (10.0, 100.0, 1e4))
+    assert len(classify_calls) == 1
+    classify_calls.clear()
+    compare_eigenvectors(fam, (10.0, 100.0))
+    assert len(classify_calls) == 1
+    classify_calls.clear()
+    gram_experiment(n=8, seed=3)
+    assert len(classify_calls) == 1
