@@ -352,10 +352,8 @@ class TestJacobiEigen:
             jacobi_eigen([[math.inf, 0.0], [0.0, 1.0]])
 
 
-
-
 def test_graded_two_by_two_small_eigenvalue_is_relatively_accurate():
-    # the normwise rule stops at once here and returns the diagonal, 1.0
+    # a rule on the off-diagonal norm accepts the diagonal here, so 1.0
     w, _ = jacobi_eigen([[1e24, 1e11], [1e11, 1.0]])
     assert w[1] == pytest.approx(0.99, rel=1e-14)
 
