@@ -758,6 +758,11 @@ def test_star_cross_check_still_runs(perturbed_star, capsys):
         lambda a: eigvec_info(a, 2),
         lambda a: uniqueness_and_strength(a, 2),
     ],
+    ids=[
+        "smax_eigenvalues", "spectral_report", "charpoly", "genericity_check",
+        "eigvec_adjugate", "eigvec_kleene", "eigvec_construct", "eigvec_info",
+        "uniqueness_and_strength",
+    ],
 )
 def test_each_entry_point_classifies_once(classify_calls, entry):
     entry(DISTINCT5)
