@@ -163,7 +163,7 @@ def _cmd_eig(args):
 def _cmd_eigvec(args):
     a = parse_matrix(_read(args.file))
     k = args.k
-    smax_eigenvalues(a)  # the NotTPD message and the balance-root check
+    smax_eigenvalues(a)  # the NotTPD message of the eigenvalue route
     info = eigvec_info(a, k)
     if not info.simple:
         raise NotSimple(f"eigenvalue {k} is not simple")

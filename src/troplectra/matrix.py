@@ -47,7 +47,6 @@ __all__ = [
     "NotSquare",
     "SizeLimitExceeded",
     "StarDiverges",
-    "NoStabilization",
     "SingularOrBalanced",
     "UnsignedRHS",
     "ZeroDeterminant",
@@ -94,10 +93,6 @@ class SizeLimitExceeded(TropError):
 
 class StarDiverges(TropError):
     """Kleene star does not exist: some cycle mean exceeds the unit."""
-
-
-class NoStabilization(TropError):
-    """Star iteration failed to reach a fixed point (defensive guard)."""
 
 
 class SingularOrBalanced(TropError):
@@ -676,26 +671,53 @@ def kleene_star(a: SMatrix) -> SMatrix:
     """Sum of all powers ``I + A + A^2 + ...`` when it stabilizes.
 
     Exists exactly when every cycle mean of the modulus is at most the
-    unit; otherwise StarDiverges.  Computed by repeated squaring of
-    ``I + A``, which reaches the fixed point after about log2(n)
-    squarings once the series is stationary.
+    unit; otherwise StarDiverges.  Computed by one Gauss-Jordan
+    elimination over the dioid (Lehmann 1977) on (sign, magnitude) pairs
+    scaled as in ``determinant``: pivot k folds the paths through k into
+    the other entries, times the star of the pivot c (1 when |c| < 0,
+    1 + c when |c| = 0; |c| > 0 exactly when a positive cycle exists),
+    and I is added last.  Equal entries of the result share one scalar.
     """
     n = a._require_square()
-    one_t = TScalar(0)
-    mcm = max_cycle_mean(a)
-    if one_t < mcm:
-        raise StarDiverges(f"largest cycle mean {mcm!r} exceeds the unit")
-    s = SMatrix.identity(n) + a
-    moduli = {e.mag for r in a._rows for e in r if e.mag is not None}
-    cap = n * len(moduli) + n
-    power = 1
-    while power <= 4 * cap + 4:
-        s2 = s @ s
-        power *= 2
-        if s2 == s:
-            return s
-        s = s2
-    raise NoStabilization(f"no fixed point after exceeding power {power}")
+    mag, den = _scaled_mags(a)
+    sgn = [[e.sign for e in r] for r in a._rows]
+    for k in range(n):
+        rk_mag, rk_sgn = mag[k], sgn[k]
+        cmp = -1 if rk_mag[k] is None else _mag_cmp(rk_mag[k], 0)
+        if cmp > 0:
+            mcm = max_cycle_mean(a)
+            raise StarDiverges(f"largest cycle mean {mcm!r} exceeds the unit")
+        if cmp == 0 and rk_sgn[k] != 1:
+            rk_sgn[:] = [0] * n  # the pivot's star is the balanced unit
+        for i in range(n):
+            aik, si, ri_mag, ri_sgn = mag[i][k], sgn[i][k], mag[i], sgn[i]
+            if i == k or aik is None:
+                continue
+            for j, e in enumerate(rk_mag):
+                if e is None:
+                    continue
+                v, s, old = aik + e, si * rk_sgn[j], ri_mag[j]
+                cmp = 1 if old is None else _mag_cmp(v, old)
+                if cmp > 0:
+                    ri_mag[j], ri_sgn[j] = v, s
+                elif cmp == 0:
+                    if v > old:
+                        ri_mag[j] = v
+                    if s != ri_sgn[j]:
+                        ri_sgn[j] = 0
+    shared = {}
+    for i in range(n):
+        e = mag[i][i]  # no cycle outweighs the unit, so 1 + e is 1 or balanced
+        if e is None or _mag_cmp(e, 0) < 0:
+            sgn[i][i], mag[i][i] = 1, 0
+        else:
+            sgn[i][i], mag[i][i] = (1 if sgn[i][i] == 1 else 0), max(0, e)
+        for j, e in enumerate(mag[i]):
+            key = (sgn[i][j], e, type(e))
+            if key not in shared:
+                shared[key] = SScalar(key[0], _unscale(e, den))
+            mag[i][j] = shared[key]
+    return SMatrix(mag)
 
 
 def is_irreducible(a) -> bool:

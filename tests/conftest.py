@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from troplectra import spectral, valuation
+from troplectra import matrix, spectral, valuation
 from troplectra.semiring import SScalar, TScalar
 
 settings.register_profile("suite", deadline=None)
@@ -48,4 +48,18 @@ def classify_calls(monkeypatch):
 
     monkeypatch.setattr(spectral, "classify_pd", counting)
     monkeypatch.setattr(valuation, "classify_pd", counting)
+    return calls
+
+
+@pytest.fixture
+def cycle_mean_calls(monkeypatch):
+    """Count the cycle-mean computations the star route runs."""
+    calls = []
+    original = matrix.max_cycle_mean
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matrix, "max_cycle_mean", counting)
     return calls

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from troplectra.cli import main
-from troplectra.matrix import format_matrix, matrix_from_json, parse_matrix
+from troplectra.matrix import SMatrix, format_matrix, matrix_from_json, parse_matrix
 from troplectra.polynomial import format_poly, parse_poly
-from troplectra.valuation import MonomialMatrix
+from troplectra.semiring import SScalar
+from troplectra.valuation import MonomialMatrix, random_tpd
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -209,6 +210,15 @@ class TestStar:
         star = matrix_from_json(json.loads(out))
         text = ok(capsys, "star", DATA / "contracted3.mat")
         assert star == parse_matrix(text)
+
+    def test_contracted_tpd_40_is_a_fixed_point(self, capsys, tmp_path):
+        a = random_tpd(40, 0)
+        top = max(a[i, i].mag for i in range(a.rows))
+        a = SScalar.pos(-top) * a
+        path = tmp_path / "tpd40.mat"
+        path.write_text(format_matrix(a))
+        star = parse_matrix(ok(capsys, "star", path))
+        assert star == SMatrix.identity(40) + a @ star
 
     def test_diverging_matrix_exits_1(self, capsys, tmp_path):
         path = tmp_path / "div.mat"

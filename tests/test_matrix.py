@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from troplectra.matrix import (
-    NoStabilization,
     NotSquare,
     ParseError,
     SearchExhausted,
@@ -53,6 +52,7 @@ from troplectra.semiring import (
     s_mul,
     s_neg,
 )
+from troplectra.valuation import random_tpd
 
 P = SScalar.pos
 N = SScalar.neg
@@ -141,6 +141,21 @@ def brute_max_cycle_mean(a) -> TScalar:
                     if best is None or mean > best:
                         best = mean
     return TScalar(best)
+
+
+def squaring_star(a: SMatrix) -> SMatrix:
+    """The star as the fixed point of squaring I + A, for convergent A."""
+    s = SMatrix.identity(a.rows) + a
+    while True:
+        s2 = s @ s
+        if s2 == s:
+            return s
+        s = s2
+
+
+def signed_entries(m: SMatrix) -> list:
+    """Every entry as its exact (sign, magnitude) pair."""
+    return [[(e.sign, e.mag) for e in r] for r in m._rows]
 
 
 def power_sum(a: SMatrix, m: int) -> SMatrix:
@@ -489,6 +504,61 @@ def test_irreducible_star_has_no_zeros(a):
     assert all(
         not star[i, j].is_zero for i in range(a.rows) for j in range(a.rows)
     )
+
+
+@given(smatrices(max_n=5))
+def test_star_matches_squaring_oracle(a):
+    a = normalized(a)
+    assert signed_entries(kleene_star(a)) == signed_entries(squaring_star(a))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_star_matches_squaring_oracle_contracted_tpd(seed):
+    a = random_tpd(12, seed)
+    top = max(a[i, i].mag for i in range(a.rows))
+    c = SScalar.pos(-top) * a
+    star = kleene_star(c)
+    assert signed_entries(star) == signed_entries(squaring_star(c))
+    # equal entries share one scalar object, which keeps stars small
+    entries = [e for r in star._rows for e in r]
+    assert len({id(e) for e in entries}) == len({(e.sign, e.mag) for e in entries})
+
+
+@pytest.mark.parametrize("gap", [-3e-10, 3e-10])
+def test_star_float_near_unit_cycle_balances(gap):
+    # the 2-cycle has a negative sign and weight within 1e-9 of the unit,
+    # so it balances the identity instead of diverging
+    a = SMatrix([[Z, P(0.25)], [N(-0.25 + gap), Z]])
+    star = kleene_star(a)
+    assert star[0, 0].is_bal and star[1, 1].is_bal
+    assert star[0, 0] == B(0) and star[1, 1] == B(0)
+    assert star == squaring_star(a)
+
+
+def test_star_float_tie_keeps_larger_magnitude():
+    # the path 1 -> 0 -> 2 ties with the edge 1 -> 2 within 1e-9; as in
+    # s_add, the balanced entry keeps the larger of the two magnitudes
+    a = SMatrix([[Z, Z, P(-0.5 + 3e-10)], [N(-0.5), Z, P(-1.0)], [Z, Z, Z]])
+    path = -0.5 + (-0.5 + 3e-10)
+    star = kleene_star(a)
+    assert (star[1, 2].sign, star[1, 2].mag) == (0, path)
+    assert (star[1, 0].sign, star[1, 0].mag) == (-1, -0.5)
+
+
+@given(
+    smatrices(max_n=5),
+    st.sampled_from([None, Fraction(-1, 2), Fraction(0), Fraction(1, 2)]),
+)
+def test_star_diverges_iff_positive_cycle_mean(a, shift):
+    if shift is not None:
+        a = P(shift) * normalized(a)
+    mcm = max_cycle_mean(a)
+    if TScalar(0) < mcm:
+        with pytest.raises(StarDiverges) as info:
+            kleene_star(a)
+        assert str(info.value) == f"largest cycle mean {mcm!r} exceeds the unit"
+    else:
+        kleene_star(a)
 
 
 def test_is_irreducible_pinned():

@@ -12,8 +12,10 @@ from troplectra.matrix import (
     NotSquare,
     ShapeMismatch,
     SMatrix,
+    StarDiverges,
     TMatrix,
     adjugate,
+    kleene_star,
     mat_vec,
     scale_vec,
     trace_k,
@@ -683,6 +685,16 @@ def test_spectral_report_one_adjugate_column_per_index(adjugate_calls):
     assert len(adjugate_calls) == 5
     assert all(info.simple for info in rep.vectors)
     assert all(info.kleene == info.adjugate for info in rep.vectors)
+
+
+def test_star_success_path_runs_no_cycle_mean(cycle_mean_calls):
+    info = eigvec_info(DISTINCT5, 1)
+    assert info.kleene == info.adjugate
+    kleene_star(SScalar.pos(-10) * DISTINCT5)
+    assert cycle_mean_calls == []
+    with pytest.raises(StarDiverges):
+        kleene_star(DISTINCT5)
+    assert len(cycle_mean_calls) == 1
 
 
 def test_cli_eigvec_construct_one_adjugate_column(adjugate_calls, capsys):
